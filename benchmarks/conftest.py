@@ -9,7 +9,7 @@ and figures as a side effect of timing them.
 
 Timed sessions also feed the repo's bench trajectory: at session end
 every benchmark's stats + ``extra_info`` are folded into a
-``BENCH_<n>.json`` snapshot (schema ``qtaccel-bench/1``, same as
+``BENCH_<n>.json`` snapshot (the same schema as
 ``python -m repro.perf run``) under ``$QTACCEL_BENCH_DIR`` (default
 ``benchmarks/_artifacts``), comparable with the perf sentinel.
 """

@@ -32,9 +32,10 @@ def test_batch_engine(benchmark, agents):
 
     sim = benchmark(run)
     assert sim.stats.samples_per_agent >= SAMPLES
-    benchmark.extra_info["agent_samples_per_sec"] = round(
-        agents * SAMPLES / benchmark.stats.stats.mean
-    )
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["agent_samples_per_sec"] = round(
+            agents * SAMPLES / benchmark.stats.stats.mean
+        )
     emit_once("fleet", run_experiment("fleet", quick=True).format())
 
 

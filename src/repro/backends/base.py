@@ -32,7 +32,6 @@ normalisation/validation, the :class:`BatchStats` counters, the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -59,16 +58,6 @@ class BatchStats(RunStatsContract):
     def samples(self) -> int:
         """Total updates retired across the fleet (the shared contract)."""
         return self.agents * self.samples_per_agent
-
-    @property
-    def total_samples(self) -> int:
-        """Deprecated spelling of :attr:`samples`."""
-        warnings.warn(
-            "BatchStats.total_samples is deprecated; use BatchStats.samples",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.samples
 
 
 #: Alias under the fleet vocabulary; ``BatchStats`` stays the canonical

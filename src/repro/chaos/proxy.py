@@ -230,6 +230,12 @@ class ChaosProxy:
         self._closing = True
         self._gate.set()
         try:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does (accept raises, the loop sees _closing).
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # not every platform allows it on a listener
+            pass
+        try:
             self._listener.close()
         except OSError:  # pragma: no cover - best-effort teardown
             pass

@@ -11,7 +11,7 @@ consume the same object, so an experiment is fully described by
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from ..fixedpoint.format import COEF_FORMAT, Q_FORMAT, FxpFormat
 from ..fixedpoint import ops
@@ -308,56 +308,31 @@ class QTAccelConfig:
 
 
 # ---------------------------------------------------------------------- #
-# Keyword-only construction (one-release positional shim)
+# Keyword-only construction (one-release policy-string shim)
 # ---------------------------------------------------------------------- #
-
-#: Declared field order, used only to interpret legacy positional calls.
-_FIELD_ORDER = tuple(f.name for f in fields(QTAccelConfig))
 
 _dataclass_init = QTAccelConfig.__init__
 
 
-def _kwonly_init(self, *args, **kw) -> None:
+def _kwonly_init(self, **kw) -> None:
     """Keyword-only ``QTAccelConfig.__init__``.
 
     Positional arguments were never self-describing for a 14-field
-    config; they still work for one release, mapped onto the declared
-    field order with a :class:`DeprecationWarning` (allow-listed in the
-    tier-1 ``error::DeprecationWarning`` gate — see pyproject.toml).
+    config, so passing any is a :class:`TypeError`.
 
     Constructing the algorithm from bare ``behavior_policy``/
     ``update_policy`` strings without naming an ``update_rule`` is
-    likewise deprecated for one release: the rule registry is the API
-    now (``QTAccelConfig(update_rule=...)`` or the presets).  The shim
-    only fires on *explicit* policy kwargs with no rule — ``with_()``
-    (``dataclasses.replace``) always passes the current ``update_rule``,
-    so copies never warn.
+    deprecated for one release: the rule registry is the API now
+    (``QTAccelConfig(update_rule=...)`` or the presets), and the shim
+    warns with a :class:`DeprecationWarning` (allow-listed in the
+    tier-1 ``error::DeprecationWarning`` gate — see pyproject.toml).
+    The shim only fires on *explicit* policy kwargs with no rule —
+    ``with_()`` (``dataclasses.replace``) always passes the current
+    ``update_rule``, so copies never warn.
     """
-    stringly = (
-        ("behavior_policy" in kw or "update_policy" in kw)
-        and not kw.get("update_rule")
-        and not args
-    )
-    if args:
-        if len(args) > len(_FIELD_ORDER):
-            raise TypeError(
-                f"QTAccelConfig takes at most {len(_FIELD_ORDER)} arguments "
-                f"({len(args)} given)"
-            )
-        names = _FIELD_ORDER[: len(args)]
-        warnings.warn(
-            "positional QTAccelConfig arguments are deprecated; pass "
-            f"{', '.join(names)} by keyword",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for name, value in zip(names, args):
-            if name in kw:
-                raise TypeError(
-                    f"QTAccelConfig got multiple values for argument {name!r}"
-                )
-            kw[name] = value
-    if stringly:
+    if ("behavior_policy" in kw or "update_policy" in kw) and not kw.get(
+        "update_rule"
+    ):
         warnings.warn(
             "constructing QTAccelConfig from behavior_policy/update_policy "
             "strings is deprecated; pass update_rule=... (or use a preset "

@@ -13,15 +13,20 @@ machine-readable artifacts, layered on :mod:`repro.telemetry`:
 * :mod:`repro.perf.snapshot` — schema-versioned ``BENCH_<n>.json``
   snapshots (per-engine samples/sec, cycles/sample, modelled MS/s at
   the paper's 189 MHz, overhead ratios, machine fingerprint).
-* :mod:`repro.perf.fleet` — the scalar-vs-vectorized fleet throughput
-  sweep over a ladder of lane counts (updates/sec per backend, paired
-  speedup), recorded under a snapshot's ``fleet_throughput`` key.
+* :mod:`repro.perf.fleet` — the one paired sweep: a candidate fleet
+  engine timed back to back against a baseline over lane count, update
+  rule or worker count, written as one record schema (per-point
+  updates/sec of each side and the ``baseline / candidate`` ratio) under
+  a snapshot's ``fleet_throughput``, ``rule_throughput``,
+  ``sharded_throughput`` or ``native_throughput`` key.
 * :mod:`repro.perf.serve` — the session-gateway saturation bench
   (sessions/sec, transitions/sec, p50/p99 action latency over live
   NDJSON TCP), recorded under a snapshot's ``serve_throughput`` key.
 * :mod:`repro.perf.compare` — the regression sentinel: diffs two
-  snapshots with ``max(rel_tol, k*MAD)`` thresholds and exits non-zero
-  for CI gating.
+  snapshots with ``max(rel_tol, k*MAD)`` thresholds on the cases and
+  one table of per-record metrics (direction, band, portable or
+  same-machine) for the sweep and serve records; exits non-zero for CI
+  gating.
 * :mod:`repro.perf.metrics_export` — live export: an
   OpenMetrics/Prometheus text renderer over a
   :class:`~repro.telemetry.counters.CounterRegistry` and periodic
@@ -39,9 +44,10 @@ from .compare import CompareResult, compare_snapshots, render_comparison
 from .fleet import (
     LANE_COUNTS,
     SMOKE_LANE_COUNTS,
-    check_min_speedup,
-    render_fleet_throughput,
-    run_fleet_throughput,
+    SWEEPS,
+    check_ratio,
+    render_sweep,
+    run_paired_sweep,
 )
 from .metrics_export import (
     JsonlEmitter,
@@ -62,7 +68,7 @@ from .snapshot import (
     write_snapshot,
 )
 from .stagetime import StageTimer
-from .stats import bootstrap_ci, mad, median, summarize
+from .stats import bootstrap_ci, mad, median, percentile, summarize
 
 __all__ = [
     "BENCH_CASES",
@@ -73,9 +79,10 @@ __all__ = [
     "render_comparison",
     "LANE_COUNTS",
     "SMOKE_LANE_COUNTS",
-    "check_min_speedup",
-    "render_fleet_throughput",
-    "run_fleet_throughput",
+    "SWEEPS",
+    "check_ratio",
+    "render_sweep",
+    "run_paired_sweep",
     "render_serve_throughput",
     "run_serve_throughput",
     "JsonlEmitter",
@@ -95,5 +102,6 @@ __all__ = [
     "bootstrap_ci",
     "mad",
     "median",
+    "percentile",
     "summarize",
 ]

@@ -30,19 +30,11 @@ from .fleet import (
     LANE_COUNTS,
     RULE_NAMES,
     SMOKE_LANE_COUNTS,
+    SWEEPS,
     WORKER_COUNTS,
-    check_min_speedup,
-    check_native_speedup,
-    check_rule_overhead,
-    check_sharded_speedup,
-    render_fleet_throughput,
-    render_native_throughput,
-    render_rule_throughput,
-    render_sharded_throughput,
-    run_fleet_throughput,
-    run_native_throughput,
-    run_rule_throughput,
-    run_sharded_throughput,
+    check_ratio,
+    render_sweep,
+    run_paired_sweep,
 )
 from .serve import render_serve_throughput, run_serve_throughput
 from .snapshot import build_snapshot, load_snapshot, next_bench_path, write_snapshot
@@ -58,41 +50,33 @@ def _cmd_run(args) -> int:
         stage = measure_stage_attribution(
             samples=400 if args.quick else 4_000, sample_every=args.stage_every
         )
-    fleet = None
+    ladder = SMOKE_LANE_COUNTS if args.quick else LANE_COUNTS
+    sweeps = {}
     if args.fleet:
-        fleet = run_fleet_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.quick else LANE_COUNTS,
-            quick=args.quick,
+        sweeps["fleet_throughput"] = run_paired_sweep(
+            *SWEEPS["fleet_throughput"], ladder, quick=args.quick
         )
-    sharded = None
     if args.workers:
-        sharded = run_sharded_throughput(
-            worker_counts=_parse_workers(args.workers),
-            n_lanes=256 if args.quick else 4096,
-            quick=args.quick,
+        sweeps["sharded_throughput"] = run_paired_sweep(
+            *SWEEPS["sharded_throughput"], _parse_workers(args.workers),
+            lanes=256 if args.quick else 4096, quick=args.quick,
         )
-    rule_sweep = None
     if args.rules:
-        rule_sweep = run_rule_throughput(quick=args.quick)
-    native = None
-    if args.native:
-        native = run_native_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.quick else LANE_COUNTS,
-            quick=args.quick,
+        sweeps["rule_throughput"] = run_paired_sweep(
+            *SWEEPS["rule_throughput"], RULE_NAMES, quick=args.quick
         )
-    serve = None
-    if args.serve:
-        serve = run_serve_throughput(quick=args.quick)
+    if args.native:
+        sweeps["native_throughput"] = run_paired_sweep(
+            *SWEEPS["native_throughput"], ladder, quick=args.quick
+        )
+    serve = run_serve_throughput(quick=args.quick) if args.serve else None
     snapshot = build_snapshot(
         results,
         config={"repeats": args.repeats, "warmup": args.warmup, "quick": args.quick},
         overheads=overhead_ratios(results),
         stage_attribution=stage,
-        fleet_throughput=fleet,
-        sharded_throughput=sharded,
-        rule_throughput=rule_sweep,
-        native_throughput=native,
         serve_throughput=serve,
+        **sweeps,
     )
     path = args.output if args.output else next_bench_path(".")
     write_snapshot(snapshot, path)
@@ -116,37 +100,25 @@ def _cmd_fleet(args) -> int:
     native = args.backend == "native"
     if native and (args.rules or sharded):
         raise KeyError("--backend native cannot combine with --rules/--workers")
+    ladder = SMOKE_LANE_COUNTS if args.smoke else LANE_COUNTS
+    kw = {"repeats": args.repeats, "quick": args.smoke}
     if native:
-        record = run_native_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.smoke else LANE_COUNTS,
-            repeats=args.repeats,
-            quick=args.smoke,
-            kernel=args.kernel,
+        record = run_paired_sweep(
+            *SWEEPS["native_throughput"], ladder, kernel=args.kernel, **kw
         )
-        print(render_native_throughput(record))
     elif args.rules:
-        record = run_rule_throughput(
-            rules=RULE_NAMES if args.rules == "all" else args.rules.split(","),
-            n_lanes=min(args.lanes, 256),
-            repeats=args.repeats,
-            quick=args.smoke,
+        rules = RULE_NAMES if args.rules == "all" else args.rules.split(",")
+        record = run_paired_sweep(
+            *SWEEPS["rule_throughput"], rules, lanes=min(args.lanes, 256), **kw
         )
-        print(render_rule_throughput(record))
     elif sharded:
-        record = run_sharded_throughput(
-            worker_counts=_parse_workers(args.workers),
-            n_lanes=args.lanes,
-            repeats=args.repeats,
-            quick=args.smoke,
+        record = run_paired_sweep(
+            "sharded", args.vs, "workers", _parse_workers(args.workers),
+            lanes=args.lanes, **kw,
         )
-        print(render_sharded_throughput(record))
     else:
-        record = run_fleet_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.smoke else LANE_COUNTS,
-            repeats=args.repeats,
-            quick=args.smoke,
-        )
-        print(render_fleet_throughput(record))
+        record = run_paired_sweep(*SWEEPS["fleet_throughput"], ladder, **kw)
+    print(render_sweep(record))
     if args.output:
         import json
 
@@ -154,20 +126,17 @@ def _cmd_fleet(args) -> int:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"\nsweep written to {args.output}")
-    if args.rules and args.max_rule_overhead is not None:
-        ok, message = check_rule_overhead(record, args.max_rule_overhead)
-        print(message)
-        return 0 if ok else 1
-    if args.min_speedup is not None and not args.rules:
-        if native:
-            ok, message = check_native_speedup(record, args.min_speedup)
-        elif sharded:
-            ok, message = check_sharded_speedup(record, args.min_speedup, vs=args.vs)
-        else:
-            ok, message = check_min_speedup(record, args.min_speedup)
-        print(message)
-        return 0 if ok else 1
-    return 0
+    # The rule gate is a per-update overhead ceiling, i.e. a ratio floor
+    # of its inverse; the other sweeps gate their speedup directly.
+    floor = args.min_speedup
+    if args.rules:
+        ceiling = args.max_rule_overhead
+        floor = None if ceiling is None else 1.0 / ceiling if ceiling > 0 else float("inf")
+    if floor is None:
+        return 0
+    ok, message = check_ratio(record, floor)
+    print(message)
+    return 0 if ok else 1
 
 
 def _cmd_serve(args) -> int:
@@ -293,30 +262,14 @@ def render_snapshot(snapshot: dict) -> str:
             out.append(
                 f"  {name}: {_fmt(entry.get('ratio'))} vs {entry.get('baseline')}{tail}"
             )
-    fleet = snapshot.get("fleet_throughput")
-    if fleet:
-        out.append("")
-        out.append(render_fleet_throughput(fleet))
-    sharded = snapshot.get("sharded_throughput")
-    if sharded:
-        out.append("")
-        out.append(render_sharded_throughput(sharded))
-    rule_sweep = snapshot.get("rule_throughput")
-    if rule_sweep:
-        out.append("")
-        out.append(render_rule_throughput(rule_sweep))
-    native = snapshot.get("native_throughput")
-    if native:
-        out.append("")
-        out.append(render_native_throughput(native))
-    serve = snapshot.get("serve_throughput")
-    if serve:
-        out.append("")
-        out.append(render_serve_throughput(serve))
-    degraded = snapshot.get("degraded_throughput")
-    if degraded:
-        out.append("")
-        out.append(render_serve_throughput(degraded))
+    for key in SWEEPS:
+        if snapshot.get(key):
+            out.append("")
+            out.append(render_sweep(snapshot[key]))
+    for key in ("serve_throughput", "degraded_throughput"):
+        if snapshot.get(key):
+            out.append("")
+            out.append(render_serve_throughput(snapshot[key]))
     stage = snapshot.get("stage_attribution")
     if stage:
         fr = stage.get("fractions") or {}
@@ -365,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--fleet",
         action="store_true",
-        help="also run the scalar-vs-vectorized fleet throughput sweep "
+        help="also run the vectorized-vs-scalar fleet throughput sweep "
         "(recorded under the snapshot's fleet_throughput key)",
     )
     p_run.add_argument(
@@ -441,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.set_defaults(func=_cmd_serve)
 
     p_fleet = sub.add_parser(
-        "fleet", help="scalar vs vectorized fleet throughput sweep"
+        "fleet", help="paired fleet throughput sweep (default: vectorized vs scalar)"
     )
     p_fleet.add_argument(
         "--smoke",
@@ -463,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=("auto", "native"),
         default="auto",
         help="'native' runs the fused-kernel sweep (native vs vectorized) "
-        "instead of the scalar-vs-vectorized sweep",
+        "instead of the vectorized-vs-scalar sweep",
     )
     p_fleet.add_argument(
         "--kernel",
@@ -489,13 +442,14 @@ def main(argv: list[str] | None = None) -> int:
         "--vs",
         choices=("scalar", "vectorized"),
         default="scalar",
-        help="which baseline the sharded --min-speedup gate compares against "
+        help="the sharded sweep's baseline, timed paired at every worker count "
         "(scalar is machine-portable; vectorized needs a multi-core host)",
     )
     p_fleet.add_argument(
         "--rules",
         metavar="A,B,...|all",
-        help="run the per-update-rule vectorized throughput sweep instead "
+        help="run the per-update-rule sweep instead, each rule paired with "
+        "plain Q-Learning "
         f"(registered rules: {','.join(RULE_NAMES)})",
     )
     p_fleet.add_argument(

@@ -13,13 +13,19 @@ reported, never fatal.
 
 Wall-clock gating only applies when the two machine fingerprints match
 — a laptop baseline must not fail a CI runner for being a slower
-computer.  Two families gate regardless of machine:
+computer.  Three families gate regardless of machine:
 
 * ``cycles_per_sample`` — deterministic; any increase beyond a strict
   tolerance is an architectural regression, not noise;
 * overhead ``ratio``s — relative measures taken on one machine, checked
   against their recorded ``budget`` (the telemetry budget pins the
-  documented <5% claim).
+  documented <5% claim);
+* the paired sweeps' ``ratio`` (candidate speedup over its baseline).
+
+The serve records and the four sweep records go through one table,
+:data:`RECORD_GATES`: per snapshot key it lists the shape keys that
+must match and the gated metrics, each with a direction, a band and a
+portable-or-same-machine flag.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .fleet import SWEEPS, gate_keys
 from .snapshot import fingerprints_match
 
 #: Default relative slowdown tolerated before a wall-clock regression.
@@ -38,27 +45,73 @@ DEFAULT_K = 4.0
 #: Deterministic cycle counts get a much tighter relative gate.
 CYCLES_REL_TOL = 0.01
 
-#: Serve-path throughput tolerance: loopback sockets + thread scheduling
-#: are far noisier than numpy loops, so the gate is wider than rel_tol.
-SERVE_REL_TOL = 0.25
+#: Serve-path throughput band: loopback sockets + thread scheduling are
+#: far noisier than numpy loops, so the gate is wider than rel_tol.  The
+#: same band holds the sweeps' paired ratios and absolute rates, which
+#: still move with cache pressure and core count.
+RECORD_REL_TOL = 0.25
 
 #: Serve p99 action latency may double before the sentinel calls it a
 #: regression (tail latency on a busy CI host is the noisiest number
 #: the observatory records).
 SERVE_P99_REL_TOL = 1.00
 
-#: Native-kernel speedup ratio tolerance.  ``speedup_vs_vectorized`` is
-#: a same-process relative measure (both sides timed back-to-back on
-#: one machine), so it gates across fingerprints — but it still moves
-#: with cache pressure and core count, hence a wide band.
-NATIVE_REL_TOL = 0.25
+_NOT_GATED = "different machine fingerprint; wall-clock not gated"
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One gated number of a snapshot record.
+
+    ``path`` walks from the record (serve) or from a sweep point into
+    the value.  ``portable`` metrics are same-process ratios that gate
+    across machine fingerprints; the rest are wall-clock and gate only
+    on a matching fingerprint (or ``--absolute``).  A regression is a
+    move in the wrong direction by more than ``band``: below
+    ``base * (1 - band)`` when higher is better, above
+    ``base * (1 + band)`` when lower is better.
+    """
+
+    name: str
+    path: tuple[str, ...]
+    higher_is_better: bool
+    band: float
+    portable: bool
+
+
+_SERVE_SHAPE = (
+    "engine", "lanes", "concurrency", "sessions", "transitions_per_session", "chaos",
+)
+_SERVE_METRICS = (
+    Metric("sessions_per_sec", ("sessions_per_sec",), True, RECORD_REL_TOL, False),
+    Metric("transitions_per_sec", ("transitions_per_sec",), True, RECORD_REL_TOL, False),
+    Metric("act_p99", ("act_latency_ms", "p99"), False, SERVE_P99_REL_TOL, False),
+)
+_SWEEP_SHAPE = ("candidate", "baseline", "axis", "lanes", "kernel", "quick")
+_SWEEP_METRICS = (
+    Metric("speedup", ("ratio",), True, RECORD_REL_TOL, True),
+    Metric("updates_per_sec", ("candidate", "updates_per_sec"), True, RECORD_REL_TOL, False),
+)
+
+#: Snapshot key -> (finding label, shape keys, metrics, is a sweep).
+#: Records whose shape keys differ are different experiments and are
+#: skipped; a sweep's metrics are read at the gated points of its
+#: common keys (:func:`repro.perf.fleet.gate_keys`).
+RECORD_GATES = {
+    "serve_throughput": ("serve", _SERVE_SHAPE, _SERVE_METRICS, False),
+    "degraded_throughput": ("degraded", _SERVE_SHAPE, _SERVE_METRICS, False),
+    **{
+        key: (key.split("_")[0], _SWEEP_SHAPE, _SWEEP_METRICS, True)
+        for key in SWEEPS
+    },
+}
 
 
 @dataclass
 class Finding:
     """One sentinel verdict line."""
 
-    kind: str  # "time" | "cycles" | "budget" | "info"
+    kind: str  # "time" | "cycles" | "ratio" | "budget" | "info"
     case: str
     verdict: str  # "ok" | "regression" | "improvement" | "skipped"
     detail: str
@@ -127,67 +180,33 @@ def compare_snapshots(
         # Wall-clock medians (machine-bound).
         b_med, b_mad = _median_mad(b)
         n_med, n_mad = _median_mad(n)
-        if b_med is not None and n_med is not None:
-            if not gate_time:
-                findings.append(
-                    Finding(
-                        "time",
-                        name,
-                        "skipped",
-                        "different machine fingerprint; wall-clock not gated "
-                        "(use --absolute to force)",
-                    )
-                )
-            else:
-                delta = n_med - b_med
-                threshold = max(rel_tol * b_med, k * max(b_mad, n_mad))
-                pct = 100.0 * delta / b_med if b_med else 0.0
-                detail = (
-                    f"median {b_med:.6g}s -> {n_med:.6g}s "
-                    f"({pct:+.1f}%, threshold ±{100.0 * threshold / b_med:.1f}%)"
-                )
-                if delta > threshold:
-                    findings.append(Finding("time", name, "regression", detail))
-                elif -delta > threshold:
-                    findings.append(Finding("time", name, "improvement", detail))
-                else:
-                    findings.append(Finding("time", name, "ok", detail))
+        if b_med is not None and n_med is not None and not gate_time:
+            findings.append(
+                Finding("time", name, "skipped", f"{_NOT_GATED} (use --absolute to force)")
+            )
+        elif b_med is not None and n_med is not None:
+            delta = n_med - b_med
+            threshold = max(rel_tol * b_med, k * max(b_mad, n_mad))
+            pct = 100.0 * delta / b_med if b_med else 0.0
+            detail = (
+                f"median {b_med:.6g}s -> {n_med:.6g}s "
+                f"({pct:+.1f}%, threshold ±{100.0 * threshold / b_med:.1f}%)"
+            )
+            verdict = _verdict(delta > threshold, -delta > threshold)
+            findings.append(Finding("time", name, verdict, detail))
 
         # Cycle counts (deterministic, machine-independent).
         b_cps, n_cps = b.get("cycles_per_sample"), n.get("cycles_per_sample")
         if b_cps is not None and n_cps is not None:
+            verdict = _verdict(
+                n_cps > b_cps * (1.0 + CYCLES_REL_TOL),
+                n_cps < b_cps * (1.0 - CYCLES_REL_TOL),
+            )
             detail = f"cycles/sample {b_cps:.6g} -> {n_cps:.6g}"
-            if n_cps > b_cps * (1.0 + CYCLES_REL_TOL):
-                findings.append(Finding("cycles", name, "regression", detail))
-            elif n_cps < b_cps * (1.0 - CYCLES_REL_TOL):
-                findings.append(Finding("cycles", name, "improvement", detail))
-            else:
-                findings.append(Finding("cycles", name, "ok", detail))
+            findings.append(Finding("cycles", name, verdict, detail))
 
-    # Serve-path throughput and latency (wall-clock; machine-bound),
-    # healthy and degraded (mid-recovery) alike.
-    _compare_serve(
-        base.get("serve_throughput"),
-        new.get("serve_throughput"),
-        gate_time=gate_time,
-        findings=findings,
-    )
-    _compare_serve(
-        base.get("degraded_throughput"),
-        new.get("degraded_throughput"),
-        gate_time=gate_time,
-        findings=findings,
-        label="degraded",
-    )
-
-    # Native fused-kernel sweep (speedup ratio machine-portable;
-    # absolute updates/sec machine-bound).
-    _compare_native(
-        base.get("native_throughput"),
-        new.get("native_throughput"),
-        gate_time=gate_time,
-        findings=findings,
-    )
+    for key in RECORD_GATES:
+        _compare_record(key, base.get(key), new.get(key), gate_time, findings)
 
     # Overhead budgets (relative; machine-independent).
     new_over = new.get("overheads", {})
@@ -209,207 +228,90 @@ def compare_snapshots(
         b_ratio = (base_over.get(name) or {}).get("ratio")
         trend = f" (baseline {b_ratio:.4g})" if b_ratio is not None else ""
         if budget is None:
-            findings.append(
-                Finding("budget", name, "ok", f"ratio {ratio:.4g}{trend}; informational")
-            )
+            verdict, detail = "ok", f"ratio {ratio:.4g}{trend}; informational"
         elif ratio > budget:
-            findings.append(
-                Finding(
-                    "budget",
-                    name,
-                    "regression",
-                    f"ratio {ratio:.4g} exceeds budget {budget:.4g}{trend}",
-                )
-            )
+            verdict, detail = "regression", f"ratio {ratio:.4g} exceeds budget {budget:.4g}{trend}"
         else:
-            findings.append(
-                Finding("budget", name, "ok", f"ratio {ratio:.4g} within budget {budget:.4g}{trend}")
-            )
+            verdict, detail = "ok", f"ratio {ratio:.4g} within budget {budget:.4g}{trend}"
+        findings.append(Finding("budget", name, verdict, detail))
 
     return result
 
 
-def _compare_serve(
+def _compare_record(
+    key: str,
     base: Optional[dict],
     new: Optional[dict],
-    *,
-    gate_time: bool,
-    findings: list,
-    label: str = "serve",
-) -> None:
-    """Sentinel findings for one serve-bench snapshot key.
-
-    Used for both ``serve_throughput`` (``label="serve"``) and its
-    chaos-mode twin ``degraded_throughput`` (``label="degraded"``, the
-    same workload timed through a hung-worker recovery).  Throughput
-    (sessions/sec, transitions/sec) regresses when it drops by more
-    than ``SERVE_REL_TOL``; p99 action latency regresses when it grows
-    by more than ``SERVE_P99_REL_TOL``.  Both are wall-clock numbers,
-    so — like case timings — they only gate when the machine
-    fingerprints match.  Records taken at different load shapes
-    (engine/lanes/concurrency, healthy vs chaos) are not comparable
-    and are skipped.
-    """
-    if base is None and new is None:
-        return
-    if base is None:
-        findings.append(
-            Finding("info", label, "skipped", f"{label} bench new in this snapshot")
-        )
-        return
-    if new is None:
-        findings.append(
-            Finding("info", label, "skipped", f"{label} bench missing from new snapshot")
-        )
-        return
-    if not gate_time:
-        findings.append(
-            Finding(
-                "time",
-                label,
-                "skipped",
-                f"different machine fingerprint; {label} throughput not gated",
-            )
-        )
-        return
-    shape_keys = (
-        "engine", "lanes", "concurrency", "sessions",
-        "transitions_per_session", "chaos",
-    )
-    if any(base.get(k) != new.get(k) for k in shape_keys):
-        findings.append(
-            Finding(
-                "time",
-                label,
-                "skipped",
-                f"{label} bench shapes differ between snapshots; not comparable",
-            )
-        )
-        return
-
-    for metric in ("sessions_per_sec", "transitions_per_sec"):
-        b, n = base.get(metric), new.get(metric)
-        if b is None or n is None or b <= 0:
-            continue
-        pct = 100.0 * (n - b) / b
-        detail = f"{metric} {b:.6g} -> {n:.6g} ({pct:+.1f}%, floor -{100 * SERVE_REL_TOL:.0f}%)"
-        if n < b * (1.0 - SERVE_REL_TOL):
-            findings.append(Finding("time", f"{label}.{metric}", "regression", detail))
-        elif n > b * (1.0 + SERVE_REL_TOL):
-            findings.append(Finding("time", f"{label}.{metric}", "improvement", detail))
-        else:
-            findings.append(Finding("time", f"{label}.{metric}", "ok", detail))
-
-    b_p99 = (base.get("act_latency_ms") or {}).get("p99")
-    n_p99 = (new.get("act_latency_ms") or {}).get("p99")
-    if b_p99 and n_p99:
-        pct = 100.0 * (n_p99 - b_p99) / b_p99
-        detail = (
-            f"act p99 {b_p99:.4g}ms -> {n_p99:.4g}ms "
-            f"({pct:+.1f}%, ceiling +{100 * SERVE_P99_REL_TOL:.0f}%)"
-        )
-        if n_p99 > b_p99 * (1.0 + SERVE_P99_REL_TOL):
-            findings.append(Finding("time", f"{label}.act_p99", "regression", detail))
-        elif n_p99 < b_p99 * (1.0 - SERVE_REL_TOL):
-            findings.append(Finding("time", f"{label}.act_p99", "improvement", detail))
-        else:
-            findings.append(Finding("time", f"{label}.act_p99", "ok", detail))
-
-
-def _compare_native(
-    base: Optional[dict],
-    new: Optional[dict],
-    *,
     gate_time: bool,
     findings: list,
 ) -> None:
-    """Sentinel findings for the ``native_throughput`` sweep.
-
-    Two gates with different portability.  ``speedup_vs_vectorized``
-    is a ratio of two back-to-back timings in one process, so it is
-    meaningful across machine fingerprints and gates unconditionally
-    (band ``NATIVE_REL_TOL``) — this is the sentinel that pins the
-    native kernel's headline claim.  Absolute native ``updates_per_sec``
-    is wall-clock and only gates when the fingerprints match.  Records
-    taken with different kernel tiers or sweep shapes (quick vs full)
-    are not comparable and are skipped.
-    """
+    """Sentinel findings for one snapshot record, driven by
+    :data:`RECORD_GATES`."""
+    label, shape, metrics, sweep = RECORD_GATES[key]
     if base is None and new is None:
         return
-    if base is None:
+    if base is None or new is None:
+        where = "new in" if base is None else "missing from"
         findings.append(
-            Finding("info", "native", "skipped", "native bench new in this snapshot")
+            Finding("info", label, "skipped", f"{label} record {where} this snapshot")
         )
         return
-    if new is None:
-        findings.append(
-            Finding("info", "native", "skipped", "native bench missing from new snapshot")
-        )
+    differ = ", ".join(k for k in shape if base.get(k) != new.get(k))
+    if differ:
+        detail = f"{label} record shapes differ ({differ}); not comparable"
+        findings.append(Finding("time", label, "skipped", detail))
         return
-    if any(base.get(k) != new.get(k) for k in ("kernel", "quick")):
-        findings.append(
-            Finding(
-                "time",
-                "native",
-                "skipped",
-                "native bench shapes differ (kernel tier or sweep size); "
-                "not comparable",
-            )
-        )
-        return
-    common = sorted(
-        set(base.get("points", {})) & set(new.get("points", {})), key=int
-    )
-    if not common:
-        findings.append(
-            Finding("time", "native", "skipped", "no common lane counts between sweeps")
-        )
-        return
-    lanes = common[-1]
-    b_pt, n_pt = base["points"][lanes], new["points"][lanes]
-
-    b_sp, n_sp = b_pt.get("speedup_vs_vectorized"), n_pt.get("speedup_vs_vectorized")
-    if b_sp and n_sp:
-        pct = 100.0 * (n_sp - b_sp) / b_sp
-        detail = (
-            f"speedup@{lanes} lanes {b_sp:.3g}x -> {n_sp:.3g}x "
-            f"({pct:+.1f}%, floor -{100 * NATIVE_REL_TOL:.0f}%)"
-        )
-        if n_sp < b_sp * (1.0 - NATIVE_REL_TOL):
-            findings.append(Finding("time", "native.speedup", "regression", detail))
-        elif n_sp > b_sp * (1.0 + NATIVE_REL_TOL):
-            findings.append(Finding("time", "native.speedup", "improvement", detail))
-        else:
-            findings.append(Finding("time", "native.speedup", "ok", detail))
-
-    b_ups = (b_pt.get("native") or {}).get("updates_per_sec")
-    n_ups = (n_pt.get("native") or {}).get("updates_per_sec")
-    if b_ups and n_ups:
-        if not gate_time:
+    if sweep:
+        new_points = new.get("points") or {}
+        common = [k for k in base.get("points") or {} if k in new_points]
+        keys = gate_keys(base.get("axis"), common)
+        if not keys:
             findings.append(
-                Finding(
-                    "time",
-                    "native.updates_per_sec",
-                    "skipped",
-                    "different machine fingerprint; native wall-clock not gated",
-                )
+                Finding("time", label, "skipped", f"no common {base.get('axis')} points")
             )
-        else:
-            pct = 100.0 * (n_ups - b_ups) / b_ups
-            detail = (
-                f"native updates/s@{lanes} lanes {b_ups:.4g} -> {n_ups:.4g} "
-                f"({pct:+.1f}%, floor -{100 * NATIVE_REL_TOL:.0f}%)"
-            )
-            if n_ups < b_ups * (1.0 - NATIVE_REL_TOL):
-                findings.append(
-                    Finding("time", "native.updates_per_sec", "regression", detail)
-                )
-            elif n_ups > b_ups * (1.0 + NATIVE_REL_TOL):
-                findings.append(
-                    Finding("time", "native.updates_per_sec", "improvement", detail)
-                )
-            else:
-                findings.append(Finding("time", "native.updates_per_sec", "ok", detail))
+            return
+        pairs = [
+            (f"@{base.get('axis')}={k}", base["points"][k], new["points"][k])
+            for k in keys
+        ]
+    else:
+        pairs = [("", base, new)]
+    for metric in metrics:
+        for where, b_rec, n_rec in pairs:
+            _gate_metric(label, metric, where, b_rec, n_rec, gate_time, findings)
+
+
+def _dig(record: Optional[dict], path: tuple[str, ...]):
+    for step in path:
+        if not isinstance(record, dict):
+            return None
+        record = record.get(step)
+    return record
+
+
+def _gate_metric(label, metric, where, b_rec, n_rec, gate_time, findings) -> None:
+    b, n = _dig(b_rec, metric.path), _dig(n_rec, metric.path)
+    if not isinstance(b, (int, float)) or not isinstance(n, (int, float)) or b <= 0:
+        return
+    case = f"{label}.{metric.name}{where}"
+    kind = "ratio" if metric.portable else "time"
+    if not (metric.portable or gate_time):
+        findings.append(Finding(kind, case, "skipped", _NOT_GATED))
+        return
+    limit = "floor -" if metric.higher_is_better else "ceiling +"
+    detail = (
+        f"{b:.4g} -> {n:.4g} "
+        f"({100.0 * (n - b) / b:+.1f}%, {limit}{100 * metric.band:.0f}%)"
+    )
+    if metric.higher_is_better:
+        verdict = _verdict(n < b * (1.0 - metric.band), n > b * (1.0 + metric.band))
+    else:
+        verdict = _verdict(n > b * (1.0 + metric.band), n * (1.0 + metric.band) < b)
+    findings.append(Finding(kind, case, verdict, detail))
+
+
+def _verdict(worse: bool, better: bool) -> str:
+    return "regression" if worse else "improvement" if better else "ok"
 
 
 def render_comparison(result: CompareResult) -> str:

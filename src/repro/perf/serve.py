@@ -55,6 +55,8 @@ import threading
 import time
 from typing import Callable, Optional
 
+from .stats import percentile
+
 #: Default shape of the full bench.
 DEFAULT_LANES = 32
 DEFAULT_CONCURRENCY = 8
@@ -66,14 +68,6 @@ QUICK_LANES = 8
 QUICK_CONCURRENCY = 4
 QUICK_SESSIONS = 12
 QUICK_TRANSITIONS = 48
-
-
-def _percentile(sorted_values: list[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile of an ascending list (None when empty)."""
-    if not sorted_values:
-        return None
-    rank = max(1, int(round(q * len(sorted_values) + 0.5)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 def run_serve_throughput(
@@ -305,8 +299,8 @@ def run_serve_throughput(
         "transitions_per_sec": total_transitions / wall if wall > 0 else None,
         "act_latency_ms": {
             "samples": len(latencies),
-            "p50": _ms(_percentile(latencies, 0.50)),
-            "p99": _ms(_percentile(latencies, 0.99)),
+            "p50": _ms(percentile(latencies, 0.50)),
+            "p99": _ms(percentile(latencies, 0.99)),
             "mean": _ms(sum(latencies) / len(latencies)) if latencies else None,
             "max": _ms(latencies[-1]) if latencies else None,
         },

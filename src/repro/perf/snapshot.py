@@ -9,10 +9,10 @@ harness (``python -m repro.perf run``), the pytest-benchmark suite
 (``--telemetry DIR``) all emit the same schema so every measurement
 feeds one trajectory.
 
-Schema (``qtaccel-bench/1``)::
+Schema (``qtaccel-bench/2``)::
 
     {
-      "schema": "qtaccel-bench/1",
+      "schema": "qtaccel-bench/2",
       "source": "harness" | "pytest-benchmark" | "experiment:<id>",
       "machine": {platform, python, numpy, cpu_count, ...},
       "config": {"repeats": .., "warmup": .., "quick": ..},
@@ -23,16 +23,12 @@ Schema (``qtaccel-bench/1``)::
       "overheads": {"<variant>": {"baseline", "ratio", "budget"}},
       "stage_attribution": {"sample_every", "sampled_cycles",
                              "seconds", "fractions"},
-      "fleet_throughput": {"lane_counts", "repeats",         # optional
-                            "points": {"<n_lanes>": {"scalar",
-                                       "vectorized", "speedup"}}},
-      "sharded_throughput": {"n_lanes", "worker_counts",     # optional
-                              "points": {"<workers>": {"sharded",
-                                         "vectorized", "speedup_*"}}},
-      "native_throughput": {"lane_counts", "kernel",         # optional
-                             "points": {"<n_lanes>": {"native",
-                                        "vectorized",
-                                        "speedup_vs_vectorized"}}},
+      "fleet_throughput": <sweep>,     # optional paired sweeps, one
+      "rule_throughput": <sweep>,      # record schema for all four
+      "sharded_throughput": <sweep>,   # (see repro.perf.fleet):
+      "native_throughput": <sweep>,    # {candidate, baseline, axis,
+                                       #  points: {key: {candidate,
+                                       #  baseline, ratio, ratio_mad}}}
       "serve_throughput": {"engine", "lanes", "concurrency", # optional
                             "sessions_per_sec", "transitions_per_sec",
                             "act_latency_ms": {"p50", "p99", ...}},
@@ -40,6 +36,10 @@ Schema (``qtaccel-bench/1``)::
                                "hangs", "restarts"}  # serve bench re-run
                                # through a hung-worker recovery
     }
+
+``qtaccel-bench/1`` snapshots (``BENCH_0..3.json``) differ only in the
+sweep records, which had one layout per sweep; :func:`load_snapshot`
+upgrades them in memory, so old files stay readable and comparable.
 
 Cases run on engines with no cycle notion (functional, the fleets)
 **omit** ``cycles_per_sample``/``modelled_msps_at_189mhz``; snapshots
@@ -62,7 +62,20 @@ from pathlib import Path
 from typing import Optional
 
 #: Current snapshot schema identifier; bump on breaking layout changes.
-SCHEMA = "qtaccel-bench/1"
+SCHEMA = "qtaccel-bench/2"
+
+#: The previous schema, which :func:`load_snapshot` still reads.
+SCHEMA_V1 = "qtaccel-bench/1"
+
+#: Optional per-benchmark records a snapshot may carry.
+RECORD_KEYS = (
+    "fleet_throughput",
+    "rule_throughput",
+    "sharded_throughput",
+    "native_throughput",
+    "serve_throughput",
+    "degraded_throughput",
+)
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
@@ -105,14 +118,16 @@ def build_snapshot(
     config: Optional[dict] = None,
     overheads: Optional[dict] = None,
     stage_attribution: Optional[dict] = None,
-    fleet_throughput: Optional[dict] = None,
-    sharded_throughput: Optional[dict] = None,
-    rule_throughput: Optional[dict] = None,
-    native_throughput: Optional[dict] = None,
-    serve_throughput: Optional[dict] = None,
-    degraded_throughput: Optional[dict] = None,
+    **records: Optional[dict],
 ) -> dict:
-    """Assemble a schema-versioned snapshot from harness results."""
+    """Assemble a schema-versioned snapshot from harness results.
+
+    ``records`` are the optional per-benchmark records, keyed by
+    :data:`RECORD_KEYS` (``None`` values are left out).
+    """
+    unknown = sorted(set(records) - set(RECORD_KEYS))
+    if unknown:
+        raise TypeError(f"unknown snapshot records: {', '.join(unknown)}")
     snap = {
         "schema": SCHEMA,
         "source": source,
@@ -122,18 +137,7 @@ def build_snapshot(
         "overheads": overheads or {},
         "stage_attribution": stage_attribution,
     }
-    if fleet_throughput is not None:
-        snap["fleet_throughput"] = fleet_throughput
-    if sharded_throughput is not None:
-        snap["sharded_throughput"] = sharded_throughput
-    if rule_throughput is not None:
-        snap["rule_throughput"] = rule_throughput
-    if native_throughput is not None:
-        snap["native_throughput"] = native_throughput
-    if serve_throughput is not None:
-        snap["serve_throughput"] = serve_throughput
-    if degraded_throughput is not None:
-        snap["degraded_throughput"] = degraded_throughput
+    snap.update((key, rec) for key, rec in records.items() if rec is not None)
     return snap
 
 
@@ -257,16 +261,22 @@ def write_snapshot(snapshot: dict, path) -> Path:
 
 
 def load_snapshot(path) -> dict:
-    """Read and validate one snapshot."""
+    """Read and validate one snapshot, upgrading a ``qtaccel-bench/1``
+    file's sweep records to the current schema."""
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
-        raise ValueError(
-            f"{path}: not a {SCHEMA} snapshot "
-            f"(schema={data.get('schema') if isinstance(data, dict) else None!r})"
-        )
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema not in (SCHEMA, SCHEMA_V1):
+        raise ValueError(f"{path}: not a {SCHEMA} snapshot (schema={schema!r})")
     if not isinstance(data.get("cases"), dict):
         raise ValueError(f"{path}: snapshot has no 'cases' mapping")
+    if schema == SCHEMA_V1:
+        from .fleet import SWEEPS, upgrade_record
+
+        for key in SWEEPS:
+            if key in data:
+                data[key] = upgrade_record(key, data[key])
+        data["schema"] = SCHEMA
     return data
 
 

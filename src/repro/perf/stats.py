@@ -44,6 +44,14 @@ def mad(samples: Sequence[float], center: float | None = None) -> float:
     return median([abs(x - c) for x in samples])
 
 
+def percentile(sorted_values: Sequence[float], q: float) -> float | None:
+    """Nearest-rank ``q``-quantile of an ascending list (None when empty)."""
+    if not sorted_values:
+        return None
+    rank = max(1, int(round(q * len(sorted_values) + 0.5)))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
+
+
 class _Xorshift:
     """Tiny deterministic PRNG so the bootstrap needs no global seeding."""
 

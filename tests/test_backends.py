@@ -194,9 +194,11 @@ class TestRegistryAndDispatch:
         assert fleet.stats.samples == 20
 
     def test_total_samples_deprecated(self):
+        """The expired ``total_samples`` alias is gone; ``samples`` stays."""
         stats = BatchStats(agents=2, samples_per_agent=5)
-        with pytest.warns(DeprecationWarning, match="total_samples"):
-            assert stats.total_samples == 10
+        assert stats.samples == 10
+        with pytest.raises(AttributeError, match="total_samples"):
+            stats.total_samples
 
 
 # ---------------------------------------------------------------------- #

@@ -227,6 +227,17 @@ class TestProxyFaults:
             )
             sess.close()
 
+    def test_close_wakes_accept_loop_promptly(self, served):
+        """close() must not wait out the accept thread's join timeout."""
+        gateway, _ = served
+        proxy = ChaosProxy(gateway.port)
+        with ServeClient(port=proxy.port, timeout=5.0) as client:
+            client.open_session().close()
+        t0 = time.monotonic()
+        proxy.close()
+        assert time.monotonic() - t0 < 1.0
+        assert not proxy._accept_thread.is_alive()
+
 
 # ---------------------------------------------------------------------- #
 # Deadline propagation

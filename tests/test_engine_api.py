@@ -125,10 +125,9 @@ class TestRunStatsContract:
 
 
 class TestDeprecationShims:
-    def test_positional_config_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="positional QTAccelConfig"):
-            cfg = QTAccelConfig("egreedy", "egreedy")
-        assert cfg == QTAccelConfig(update_rule="sarsa")
+    def test_positional_config_rejected(self):
+        with pytest.raises(TypeError, match="positional"):
+            QTAccelConfig("egreedy", "egreedy")
 
     def test_stringly_policy_config_warns_and_works(self):
         with pytest.warns(DeprecationWarning, match="update_rule"):
@@ -143,18 +142,18 @@ class TestDeprecationShims:
             QTAccelConfig()  # defaults name no policies: no shim fires
 
     def test_too_many_positionals(self):
-        with pytest.raises(TypeError, match="at most"):
+        with pytest.raises(TypeError, match="positional"):
             QTAccelConfig(*(["random"] * 20))
 
     def test_positional_keyword_collision(self):
-        with pytest.raises(TypeError, match="multiple values"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="positional"):
             QTAccelConfig("random", behavior_policy="random")
 
-    def test_total_samples_alias_warns(self):
+    def test_total_samples_removed(self):
         stats = BatchStats(agents=3, samples_per_agent=7)
-        with pytest.warns(DeprecationWarning, match="total_samples"):
-            assert stats.total_samples == 21
+        assert stats.samples == 21
+        with pytest.raises(AttributeError, match="total_samples"):
+            stats.total_samples
 
     def test_validation_errors_name_field_and_value(self):
         with pytest.raises(ValueError, match="qmax_mode: unknown value 'bogus'"):
@@ -164,36 +163,18 @@ class TestDeprecationShims:
 
 
 class TestFleetThroughputSweep:
-    def test_quick_sweep_records_points(self):
-        from repro.perf.fleet import (
-            check_min_speedup,
-            render_fleet_throughput,
-            run_fleet_throughput,
-        )
-
-        record = run_fleet_throughput(
-            lane_counts=(1, 32), repeats=2, warmup=0, quick=True
-        )
-        assert set(record["points"]) == {"1", "32"}
-        for point in record["points"].values():
-            assert point["scalar"]["updates_per_sec"] > 0
-            assert point["vectorized"]["updates_per_sec"] > 0
-            assert point["speedup"] is not None
-        ok, message = check_min_speedup(record, 1e9)
-        assert not ok and "n_lanes=32" in message
-        text = render_fleet_throughput(record)
-        assert "n_lanes" in text and "32" in text
-
     def test_snapshot_embeds_fleet_record(self, tmp_path):
         from repro.perf import build_snapshot, load_snapshot, run_bench, write_snapshot
-        from repro.perf.fleet import run_fleet_throughput
+        from repro.perf.fleet import SWEEPS, run_paired_sweep
 
         results = run_bench(cases=["functional"], repeats=1, warmup=0, quick=True)
-        record = run_fleet_throughput(lane_counts=(8,), repeats=1, warmup=0, quick=True)
+        record = run_paired_sweep(
+            *SWEEPS["fleet_throughput"], (8,), repeats=1, warmup=0, quick=True
+        )
         snap = build_snapshot(results, fleet_throughput=record)
         path = write_snapshot(snap, tmp_path / "BENCH_t.json")
         loaded = load_snapshot(path)
-        assert loaded["fleet_throughput"]["points"]["8"]["speedup"] is not None
+        assert loaded["fleet_throughput"]["points"]["8"]["ratio"] is not None
 
     def test_cli_fleet_smoke_gate(self, capsys):
         from repro.perf.__main__ import main as perf_main

@@ -413,63 +413,46 @@ def test_import_and_python_tier_never_touch_numba():
 
 
 class TestNativeSweepRecord:
-    def _record(self):
-        from repro.perf.fleet import run_native_throughput
+    @staticmethod
+    def _snapshot(ratio, ups, *, kernel="cc", machine=None):
+        from repro.perf.snapshot import build_snapshot
 
-        fake = iter(float(i) * 0.5 for i in range(10_000))
-        return run_native_throughput(
-            lane_counts=(4,), repeats=2, quick=True, kernel="python",
-            clock=lambda: next(fake),
-        )
-
-    def test_record_shape_and_gate(self):
-        from repro.perf.fleet import check_native_speedup
-
-        rec = self._record()
-        assert rec["kernel"] == "python"
-        point = rec["points"]["4"]
-        assert {"native", "vectorized", "speedup_vs_vectorized"} <= set(point)
-        ok, detail = check_native_speedup(rec, min_speedup=1e9)
-        assert not ok and "4" in detail
-        ok, _ = check_native_speedup(rec, min_speedup=0.0)
-        assert ok
+        record = {
+            "candidate": "native", "baseline": "vectorized", "axis": "lanes",
+            "lanes": None, "kernel": kernel, "quick": False,
+            "points": {"4096": {
+                "candidate": {"updates_per_sec": ups},
+                "ratio": ratio,
+            }},
+        }
+        snap = build_snapshot({}, native_throughput=record)
+        if machine is not None:
+            snap["machine"] = dict(snap["machine"], machine=machine)
+        return snap
 
     def test_compare_sentinel_gates_speedup(self):
-        from repro.perf.compare import CompareResult, _compare_native
+        from repro.perf.compare import compare_snapshots
 
-        base = {
-            "kernel": "cc", "quick": False,
-            "points": {"4096": {
-                "native": {"updates_per_sec": 5.0e7},
-                "speedup_vs_vectorized": 6.0,
-            }},
-        }
-        worse = {
-            "kernel": "cc", "quick": False,
-            "points": {"4096": {
-                "native": {"updates_per_sec": 4.8e7},
-                "speedup_vs_vectorized": 2.0,
-            }},
-        }
-        findings: list = []
-        _compare_native(base, worse, gate_time=True, findings=findings)
-        verdicts = {f.case: f.verdict for f in findings}
-        assert verdicts["native.speedup"] == "regression"
-        assert verdicts["native.updates_per_sec"] == "ok"
+        base = self._snapshot(6.0, 5.0e7)
+        worse = self._snapshot(2.0, 4.8e7)
+        verdicts = {f.case: f.verdict for f in compare_snapshots(base, worse).findings}
+        assert verdicts["native.speedup@lanes=4096"] == "regression"
+        assert verdicts["native.updates_per_sec@lanes=4096"] == "ok"
 
         # The speedup ratio gates even across machine fingerprints;
         # absolute wall-clock does not.
-        findings = []
-        _compare_native(base, worse, gate_time=False, findings=findings)
-        verdicts = {f.case: f.verdict for f in findings}
-        assert verdicts["native.speedup"] == "regression"
-        assert verdicts["native.updates_per_sec"] == "skipped"
+        elsewhere = self._snapshot(2.0, 4.8e7, machine="elsewhere")
+        verdicts = {
+            f.case: f.verdict for f in compare_snapshots(base, elsewhere).findings
+        }
+        assert verdicts["native.speedup@lanes=4096"] == "regression"
+        assert verdicts["native.updates_per_sec@lanes=4096"] == "skipped"
 
     def test_compare_sentinel_shape_guard(self):
-        from repro.perf.compare import _compare_native
+        from repro.perf.compare import compare_snapshots
 
-        base = {"kernel": "cc", "quick": False, "points": {}}
-        new = {"kernel": "numba", "quick": False, "points": {}}
-        findings: list = []
-        _compare_native(base, new, gate_time=True, findings=findings)
-        assert [f.verdict for f in findings] == ["skipped"]
+        base = self._snapshot(6.0, 5.0e7, kernel="cc")
+        new = self._snapshot(2.0, 5.0e7, kernel="numba")
+        result = compare_snapshots(base, new)
+        assert result.ok
+        assert [f.verdict for f in result.findings] == ["skipped"]

@@ -28,6 +28,7 @@ from repro.perf import (
     mad,
     median,
     next_bench_path,
+    percentile,
     render_comparison,
     render_openmetrics,
     run_bench,
@@ -39,11 +40,13 @@ from repro.perf import (
 )
 from repro.perf.__main__ import main as perf_main
 from repro.perf.bench import overhead_ratios
+from repro.perf.fleet import SWEEPS, check_ratio, render_sweep, run_paired_sweep
 from repro.perf.metrics_export import JsonlEmitter, OpenMetricsTextfileEmitter
 from repro.perf.snapshot import SCHEMA, fingerprints_match
 from repro.telemetry import CounterRegistry, TelemetrySession
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "openmetrics_golden.txt"
+COMMITTED_SNAPSHOTS = sorted(pathlib.Path(__file__).parents[1].glob("BENCH_*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,13 @@ class TestStats:
 
     def test_mad(self):
         assert mad([1.0, 2.0, 3.0, 100.0]) == 1.0  # robust to the outlier
+
+    def test_percentile_nearest_rank(self):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert percentile(values, 0.50) == 3.0
+        assert percentile(values, 0.99) == 5.0
+        assert percentile([7.0], 0.99) == 7.0
+        assert percentile([], 0.5) is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +205,10 @@ class TestSnapshot:
         path.write_text(json.dumps({"schema": SCHEMA}))
         with pytest.raises(ValueError):
             load_snapshot(path)
+
+    def test_unknown_record_rejected(self):
+        with pytest.raises(TypeError, match="bogus_throughput"):
+            build_snapshot({}, bogus_throughput={})
 
     def test_next_bench_path_numbering(self, tmp_path):
         assert next_bench_path(tmp_path).name == "BENCH_0.json"
@@ -601,6 +615,18 @@ class TestCli:
         assert perf_main(["compare", str(out), str(slow_path)]) == 1
         assert "sentinel: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("path", COMMITTED_SNAPSHOTS, ids=lambda p: p.name)
+    def test_committed_snapshot_reports_and_self_compares(self, path, capsys):
+        assert perf_main(["report", str(path)]) == 0
+        assert perf_main(["compare", str(path), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "bench snapshot" in out and "sentinel: PASS" in out
+        data = json.loads(path.read_text())
+        for key in SWEEPS:
+            if key in data:  # every sweep is rendered and gated
+                assert f"{key.split('_')[0]}.speedup@" in out
+                assert render_sweep(load_snapshot(path)[key]) in out
+
     def test_bad_inputs_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert perf_main(["compare", str(missing), str(missing)]) == 2
@@ -611,50 +637,122 @@ class TestCli:
         assert perf_main(["fleet", "--smoke", "--workers", "nope"]) == 2
 
 
-class TestShardedSweep:
-    def test_quick_sweep_records_both_speedups(self):
-        from repro.perf.fleet import (
-            check_sharded_speedup,
-            render_sharded_throughput,
-            run_sharded_throughput,
-        )
+#: (candidate, baseline, axis), points and extra keywords of each sweep.
+PAIRS = {
+    "fleet": (SWEEPS["fleet_throughput"], (1, 8), {}),
+    "rule": (SWEEPS["rule_throughput"], ("qlearning", "sarsa"), {"lanes": 8}),
+    "sharded": (SWEEPS["sharded_throughput"], (1, 2), {"lanes": 16, "mp_context": "fork"}),
+    "native": (SWEEPS["native_throughput"], (4,), {"kernel": "python"}),
+}
 
-        record = run_sharded_throughput(
-            worker_counts=(1, 2),
-            n_lanes=16,
-            repeats=2,
-            warmup=0,
-            quick=True,
-            mp_context="fork",
+
+class TestPairedSweep:
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_record_shape_and_gate(self, pair, tmp_path):
+        (cand, base, axis), keys, kw = PAIRS[pair]
+        fake = iter(float(i) * 0.5 for i in range(10_000))
+        record = run_paired_sweep(
+            cand, base, axis, keys, repeats=2, warmup=0, quick=True,
+            clock=lambda: next(fake), **kw,
         )
-        assert set(record["points"]) == {"1", "2"}
+        assert (record["candidate"], record["baseline"], record["axis"]) == (
+            cand, base, axis,
+        )
+        assert list(record["points"]) == [str(k) for k in keys]
         for point in record["points"].values():
-            assert point["sharded"]["updates_per_sec"] > 0
-            assert point["speedup_vs_vectorized"] is not None
-            assert point["speedup_vs_scalar"] is not None
-        # The gate reads the largest worker count by default.
-        ok, message = check_sharded_speedup(record, 1e9, vs="scalar")
-        assert not ok and "workers=2" in message
-        ok, _ = check_sharded_speedup(record, 0.0, vs="vectorized", at_workers=1)
-        assert ok
-        with pytest.raises(ValueError, match="vs must be"):
-            check_sharded_speedup(record, 1.0, vs="gpu")
-        text = render_sharded_throughput(record)
-        assert "workers" in text and "n_lanes=16" in text
+            assert set(point) == {"candidate", "baseline", "ratio", "ratio_mad"}
+            # Every timed interval is 0.5 s, so baseline time per update
+            # over candidate time per update is the update-count ratio.
+            assert point["ratio"] == pytest.approx(
+                point["candidate"]["updates"] / point["baseline"]["updates"]
+            )
+            assert point["candidate"]["updates_per_sec"] > 0
+        if pair == "native":
+            assert record["kernel"] == "python"
 
+        ok, message = check_ratio(record, 1e9)
+        assert not ok and f"{axis}=" in message and "FAIL" in message
+        assert check_ratio(record, 0.0)[0]
+        text = render_sweep(record)
+        assert f"{cand} fleet throughput vs {base}" in text
+        assert all(str(k) in text for k in keys)
+
+        # One snapshot key per sweep; the sentinel gates it.
+        key = next(k for k, v in SWEEPS.items() if v == (cand, base, axis))
+        path = write_snapshot(build_snapshot({}, **{key: record}), tmp_path / "B.json")
+        loaded = load_snapshot(path)
+        assert loaded[key] == json.loads(json.dumps(record))
+        cases = [f.case for f in compare_snapshots(loaded, loaded).findings]
+        assert any(c.startswith(f"{key.split('_')[0]}.speedup@{axis}=") for c in cases)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="axis"):
+            run_paired_sweep("vectorized", "scalar", "bogus", (1,))
+        with pytest.raises(ValueError, match="sharded"):
+            run_paired_sweep("vectorized", "scalar", "workers", (1,))
+        with pytest.raises(ValueError, match="positive"):
+            run_paired_sweep("vectorized", "scalar", "lanes", (0,))
+        with pytest.raises(ValueError, match="unknown fleet backend"):
+            run_paired_sweep("vectorized", "gpu", "lanes", (1,), quick=True)
+        with pytest.raises(KeyError, match="unknown rule"):
+            run_paired_sweep("vectorized", "vectorized", "rule", ("bogus",))
+
+    def test_v1_native_baseline_still_gates_the_ratio(self):
+        """A committed qtaccel-bench/1 native sweep compares against a
+        new-schema record: the ratio gates across machines."""
+        old = load_snapshot(pathlib.Path(__file__).parents[1] / "BENCH_3.json")
+        record = copy.deepcopy(old["native_throughput"])
+        record["points"]["4096"]["ratio"] /= 2
+        new = build_snapshot({}, native_throughput=record)
+        result = compare_snapshots(old, new)
+        assert [f.case for f in result.regressions] == ["native.speedup@lanes=4096"]
+        record["points"]["4096"]["ratio"] *= 2
+        new = build_snapshot({}, native_throughput=record)
+        assert compare_snapshots(old, new).ok
+
+    def test_v1_records_upgrade(self, tmp_path):
+        v1 = {
+            "schema": "qtaccel-bench/1", "cases": {},
+            "rule_throughput": {
+                "n_lanes": 256, "repeats": 3, "quick": True,
+                "points": {"sarsa": {"updates": 10, "updates_per_sec": 5.0,
+                                     "overhead": 1.25, "overhead_mad": 0.1}},
+            },
+            "sharded_throughput": {
+                "n_lanes": 4096, "cpu_count": 2, "quick": False,
+                "points": {"2": {"sharded": {"updates_per_sec": 8.0},
+                                 "vectorized": {"updates_per_sec": 7.0},
+                                 "speedup_vs_vectorized": 0.9,
+                                 "speedup_vs_vectorized_mad": 0.01,
+                                 "speedup_vs_scalar": 40.0}},
+            },
+        }
+        path = tmp_path / "BENCH_v1.json"
+        path.write_text(json.dumps(v1))
+        snap = load_snapshot(path)
+        assert snap["schema"] == SCHEMA
+        rule = snap["rule_throughput"]
+        assert (rule["axis"], rule["lanes"]) == ("rule", 256)
+        assert rule["points"]["sarsa"]["ratio"] == pytest.approx(0.8)
+        assert rule["points"]["sarsa"]["candidate"] == {"updates": 10, "updates_per_sec": 5.0}
+        sharded = snap["sharded_throughput"]
+        assert (sharded["candidate"], sharded["baseline"]) == ("sharded", "vectorized")
+        assert sharded["points"]["2"]["ratio"] == 0.9
+        assert sharded["points"]["2"]["baseline"] == {"updates_per_sec": 7.0}
+
+
+class TestShardedSweep:
     def test_snapshot_embeds_sharded_record(self, tmp_path):
-        from repro.perf.fleet import run_sharded_throughput
-
         results = run_bench(cases=["functional"], repeats=1, warmup=0, quick=True)
-        record = run_sharded_throughput(
-            worker_counts=(2,), n_lanes=8, repeats=1, warmup=0, quick=True,
-            mp_context="fork",
+        record = run_paired_sweep(
+            *SWEEPS["sharded_throughput"], (2,), lanes=8, repeats=1, warmup=0,
+            quick=True, mp_context="fork",
         )
         snap = build_snapshot(results, sharded_throughput=record)
         path = write_snapshot(snap, tmp_path / "BENCH_t.json")
         loaded = load_snapshot(path)
         point = loaded["sharded_throughput"]["points"]["2"]
-        assert point["speedup_vs_scalar"] is not None
+        assert point["ratio"] is not None
 
     def test_cli_sharded_smoke_gate(self, capsys):
         assert (
