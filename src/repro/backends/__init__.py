@@ -32,6 +32,7 @@ from .base import (
     FleetBackend,
     FleetSpec,
     FleetStats,
+    LaneOpError,
     fleet_backend_availability,
     fleet_backends,
     make_fleet_backend,
@@ -53,6 +54,7 @@ __all__ = [
     "FleetBackend",
     "FleetSpec",
     "FleetStats",
+    "LaneOpError",
     "NativeBackendUnavailableError",
     "NativeFleetBackend",
     "ScalarFleetBackend",

@@ -205,6 +205,81 @@ class FleetBackend(Protocol):
 
     def query_action(self, k: int, state: int, explore: bool = True) -> int: ...
 
+    # The batched lane op: row ``i`` does exactly what
+    # ``apply_transition(lanes[i], s[i], a[i], ·, ns[i], t[i])`` does, in
+    # row order, with the reward already quantised (``r`` holds raw
+    # ``q_format`` words, see ``ops.quantize_array``).  Columns are
+    # 1-D C-contiguous ``int64`` arrays of one length; a malformed
+    # column or an out-of-range index raises :class:`LaneOpError` before
+    # any row is applied.  Returns the last row's written Q value.
+
+    def apply_transitions(
+        self,
+        lanes: np.ndarray,
+        s: np.ndarray,
+        a: np.ndarray,
+        r: np.ndarray,
+        ns: np.ndarray,
+        t: np.ndarray,
+    ) -> int: ...
+
+
+class LaneOpError(ValueError):
+    """A lane-op argument failed the boundary checks — wrong dtype or
+    layout, too short, or an index out of range.  Raised before any
+    table is touched."""
+
+
+#: Column names of an :meth:`FleetBackend.apply_transitions` batch.
+TRANSITION_COLUMNS = ("lanes", "s", "a", "r", "ns", "t")
+
+
+def check_transition_batch(backend, *columns: np.ndarray) -> int:
+    """Boundary checks of one ``apply_transitions`` batch; returns its
+    row count or raises :class:`LaneOpError`.
+
+    Every column must be a 1-D C-contiguous ``int64`` array of one
+    length, and every lane, state and action index in range for
+    ``backend`` (one vectorized pass per index column: viewed unsigned,
+    a negative index compares above any bound).
+    """
+    n = None
+    for name, col in zip(TRANSITION_COLUMNS, columns, strict=True):
+        if (
+            not isinstance(col, np.ndarray)
+            or col.dtype != np.int64
+            or col.ndim != 1
+            or not col.flags.c_contiguous
+        ):
+            raise LaneOpError(
+                f"apply_transitions column {name!r} must be a 1-D "
+                f"C-contiguous int64 array, got "
+                f"{getattr(col, 'dtype', type(col).__name__)}"
+            )
+        if n is None:
+            n = len(col)
+        elif len(col) != n:
+            raise LaneOpError(
+                f"apply_transitions column {name!r} has {len(col)} rows, "
+                f"expected {n}"
+            )
+    if n:
+        lanes, s, a, _, ns, _ = columns
+        for name, col, hi in (
+            ("lanes", lanes, backend.K),
+            ("s", s, backend.S),
+            ("a", a, backend.A),
+            ("ns", ns, backend.S),
+        ):
+            unsigned = col.view(np.uint64)
+            if unsigned.max() >= hi:
+                row = int(np.flatnonzero(unsigned >= hi)[0])
+                raise LaneOpError(
+                    f"apply_transitions row {row}: {name}={int(col[row])} "
+                    f"out of range [0, {hi})"
+                )
+    return n
+
 
 def fleet_backends() -> dict[str, type]:
     """Name -> class registry of the known fleet backends.

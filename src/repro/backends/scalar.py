@@ -28,6 +28,7 @@ from ..core.policies import PolicyDraws
 from ..envs.base import DenseMdp
 from ..fixedpoint import ops
 from .base import BatchStats, normalize_fleet
+from .vectorized import VectorizedFleetBackend
 
 
 class ScalarFleetBackend:
@@ -166,6 +167,17 @@ class ScalarFleetBackend:
         :meth:`FunctionalSimulator.apply_transition
         <repro.core.functional.FunctionalSimulator.apply_transition>`)."""
         q_new = self.sims[k].apply_transition(state, action, reward, next_state, terminal)
+        self._sync_stats()
+        return q_new
+
+    #: The batched lane op: the vectorized backend's reference loop over
+    #: :meth:`_apply_raw` (same checks, same row order).
+    apply_transitions = VectorizedFleetBackend.apply_transitions
+
+    def _apply_raw(
+        self, k: int, state: int, action: int, r: int, next_state: int, terminal
+    ) -> int:
+        q_new = self.sims[k]._apply_raw(state, action, r, next_state, terminal)
         self._sync_stats()
         return q_new
 

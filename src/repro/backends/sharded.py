@@ -882,6 +882,8 @@ class ShardedFleetBackend:
     # the same shard concurrently.
     reset_lane = VectorizedFleetBackend.reset_lane
     apply_transition = VectorizedFleetBackend.apply_transition
+    apply_transitions = VectorizedFleetBackend.apply_transitions
+    _apply_raw = VectorizedFleetBackend._apply_raw
     query_action = VectorizedFleetBackend.query_action
     _lane_draw = VectorizedFleetBackend._lane_draw
     _bind_rule = VectorizedFleetBackend._bind_rule

@@ -38,7 +38,7 @@ from ..fixedpoint import ops
 from ..rtl.lfsr import Lfsr
 from ..rtl.lfsr_batch import LfsrBank
 from ..rtl.rng import DECIMATION
-from .base import BatchStats, normalize_fleet
+from .base import BatchStats, check_transition_batch, normalize_fleet
 
 _I64 = np.int64
 
@@ -561,20 +561,45 @@ class VectorizedFleetBackend:
         functional simulator fed the same calls.  Returns the raw
         written Q value.
         """
-        cfg = self.config
-        A = self.A
         if not 0 <= k < self.K:
             raise IndexError(f"lane {k} out of range 0..{self.K - 1}")
         if not 0 <= state < self.S or not 0 <= next_state < self.S:
             raise ValueError(
                 f"state/next_state out of range [0, {self.S}): {state}, {next_state}"
             )
-        if not 0 <= action < A:
-            raise ValueError(f"action {action} out of range [0, {A})")
+        if not 0 <= action < self.A:
+            raise ValueError(f"action {action} out of range [0, {self.A})")
+        r = self.config.q_format.quantize(float(reward))
+        return self._apply_raw(k, state, action, r, next_state, terminal)
 
+    def apply_transitions(self, lanes, s, a, r, ns, t) -> int:
+        """Apply a batch of external transitions in row order (see
+        :class:`~repro.backends.base.FleetBackend`); returns the last
+        row's written Q value, 0 for an empty batch.
+
+        The reference implementation: one :meth:`apply_transition`
+        datapath per row, after the whole batch passed
+        :func:`~repro.backends.base.check_transition_batch`.  ``r``
+        holds raw ``q_format`` words.
+        """
+        check_transition_batch(self, lanes, s, a, r, ns, t)
+        q_new = 0
+        apply = self._apply_raw
+        for row in zip(
+            lanes.tolist(), s.tolist(), a.tolist(), r.tolist(), ns.tolist(), t.tolist()
+        ):
+            q_new = apply(*row)
+        return q_new
+
+    def _apply_raw(
+        self, k: int, state: int, action: int, r: int, next_state: int, terminal
+    ) -> int:
+        """Stages 2-4 of :meth:`apply_transition` on range-checked
+        indices and the raw (already quantised) reward ``r``."""
+        cfg = self.config
+        A = self.A
         pair = state * A + action
         q_sa = int(self.q[k, pair])
-        r = cfg.q_format.quantize(float(reward))
 
         # ---- stage-2 equivalent: update policy ---- #
         if cfg.update_policy == "greedy":

@@ -316,9 +316,19 @@ class FunctionalSimulator:
         if not 0 <= action < T.num_actions:
             raise ValueError(f"action {action} out of range [0, {T.num_actions})")
 
+        return self._apply_raw(
+            state, action, cfg.q_format.quantize(float(reward)), next_state, terminal
+        )
+
+    def _apply_raw(
+        self, state: int, action: int, r: int, next_state: int, terminal
+    ) -> int:
+        """Stages 2-4 of :meth:`apply_transition` on range-checked
+        indices and the raw (already quantised) reward ``r``."""
+        cfg = self.config
+        T = self.tables
         pair = T.pair_addr(state, action)
         q_sa = T.q.read(pair)
-        r = cfg.q_format.quantize(float(reward))
 
         # -------- stage-2 equivalent: update policy -------- #
         sel = select_update(

@@ -24,15 +24,32 @@ RawLike = Union[int, np.ndarray]
 _I64 = np.int64
 
 
+#: Rounded magnitudes from here up leave the int64 fast path of
+#: :func:`quantize_array` (a margin below 2**63 keeps the cast exact).
+_QUANTIZE_WIDE = float(1 << 62)
+
+
 def quantize_array(values, fmt: FxpFormat) -> np.ndarray:
-    """Quantise an array of reals into raw integers of ``fmt``."""
+    """Quantise an array of reals into raw integers of ``fmt``.
+
+    Equal to :meth:`FxpFormat.quantize` element for element on every
+    finite float: an element whose rounded magnitude does not fit int64
+    takes the scalar path, so it saturates or wraps exactly as there
+    (and a non-finite one raises the same ``ValueError``).
+    """
     values = np.asarray(values, dtype=np.float64)
     scaled = values * float(2.0 ** fmt.frac)
     if fmt.rounding == "truncate":
         raw = np.floor(scaled)
     else:
         raw = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
-    return clamp_raw(raw.astype(_I64), fmt)
+    wide = ~(np.abs(raw) < _QUANTIZE_WIDE)  # NaN compares False: wide too
+    if not wide.any():
+        return clamp_raw(raw.astype(_I64), fmt)
+    out = np.array(clamp_raw(np.where(wide, 0.0, raw).astype(_I64), fmt), dtype=_I64)
+    for i in np.flatnonzero(wide):
+        out.flat[i] = fmt.quantize(float(values.flat[i]))
+    return out
 
 
 def to_float_array(raw: RawLike, fmt: FxpFormat) -> np.ndarray:

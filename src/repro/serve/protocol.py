@@ -67,6 +67,7 @@ Error codes are the closed set in :data:`ERROR_CODES`.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 #: Protocol identifier, echoed by the ``server`` op.
@@ -293,10 +294,17 @@ def parse_transition(req: dict, *, num_states: int, num_actions: int) -> tuple:
     r = req.get("r", 0.0)
     if isinstance(r, bool) or not isinstance(r, (int, float)):
         raise ProtocolError(E_BAD_REQUEST, "field 'r' must be a number")
+    try:
+        r = float(r)
+    except OverflowError:
+        raise ProtocolError(E_BAD_REQUEST, "field 'r' does not fit a float") from None
+    if not math.isfinite(r):
+        # Python's json accepts NaN/Infinity; no reward word holds them.
+        raise ProtocolError(E_BAD_REQUEST, f"field 'r' must be finite, got {r}")
     t = req.get("t", False)
     if not isinstance(t, bool):
         raise ProtocolError(E_BAD_REQUEST, "field 't' must be a boolean")
-    return s, a, float(r), ns, t
+    return s, a, r, ns, t
 
 
 def parse_batch(req: dict, *, num_states: int, num_actions: int) -> list[tuple]:
@@ -308,6 +316,10 @@ def parse_batch(req: dict, *, num_states: int, num_actions: int) -> list[tuple]:
         raise ProtocolError(
             E_BAD_REQUEST, f"batch of {len(rows)} exceeds MAX_BATCH={MAX_BATCH}"
         )
+    fast = _parse_columns(rows, num_states, num_actions)
+    if fast is not None:
+        return fast
+    # Some row breaks a rule: the per-row parser names the first one.
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or not 4 <= len(row) <= 5:
@@ -321,3 +333,38 @@ def parse_batch(req: dict, *, num_states: int, num_actions: int) -> list[tuple]:
             parse_transition(fields, num_states=num_states, num_actions=num_actions)
         )
     return out
+
+
+def _parse_columns(rows: list, num_states: int, num_actions: int) -> list[tuple] | None:
+    """:func:`parse_batch`'s fast path: the same acceptance rules checked
+    a column at a time.  Returns the parsed rows, or None when any rule
+    fails (or a row takes a shape this path does not handle) so the
+    per-row parser can produce the exact error."""
+    if not rows:
+        return []
+    if set(map(type, rows)) != {list}:
+        return None
+    widths = set(map(len, rows))
+    if widths == {5}:
+        s, a, r, ns, t = zip(*rows)
+        if set(map(type, t)) != {bool}:
+            return None
+    elif widths == {4}:
+        s, a, r, ns = zip(*rows)
+        t = (False,) * len(rows)
+    else:
+        return None
+    for col, hi in ((s, num_states), (a, num_actions), (ns, num_states)):
+        if set(map(type, col)) != {int} or min(col) < 0 or max(col) >= hi:
+            return None
+    r_types = set(map(type, r))
+    if not r_types <= {int, float}:
+        return None
+    if int in r_types:
+        try:
+            r = tuple(map(float, r))
+        except OverflowError:
+            return None
+    if not all(map(math.isfinite, r)):
+        return None
+    return list(zip(s, a, r, ns, t))

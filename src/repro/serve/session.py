@@ -43,11 +43,14 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..backends.base import LaneOpError, check_transition_batch
 from ..envs.base import DenseMdp
+from ..fixedpoint import ops
 from ..robustness.checkpoint import CheckpointStore
 from .protocol import (
     E_AT_CAPACITY,
@@ -502,7 +505,8 @@ class SessionManager:
                 self._counters.inc("transitions")
             return q_new
 
-    #: Transitions applied between deadline checks inside a batch.
+    #: Transitions applied between deadline checks inside a batch (one
+    #: ``apply_transitions`` call each).
     _BATCH_CHECK = 32
 
     def learn_batch(
@@ -513,17 +517,25 @@ class SessionManager:
     ) -> int:
         """Retire a sequence of transitions; returns the last ``q_new``.
 
+        The batch is all-or-nothing.  Every row is validated and its
+        reward quantised before any row is applied (a bad row raises
+        ``bad_request`` with nothing applied), then the rows retire
+        through ``backend.apply_transitions`` ``_BATCH_CHECK`` at a time.
         ``deadline`` (an absolute ``time.monotonic()`` timestamp) budgets
-        the request down into the backend lane-ops: the batch checks the
-        clock every ``_BATCH_CHECK`` transitions and, if the budget runs
-        out mid-application, **rolls the lane back** to its pre-batch
-        state (journal, counters and stats included) and raises
-        ``deadline_exceeded`` — nothing is applied, so an idempotent
-        retry of the whole batch stays exactly-once.
+        the request down into the backend: the clock is checked before
+        every chunk and, if the budget runs out mid-batch, the lane is
+        **rolled back** to its pre-batch state (journal, counters and
+        session stats included) and ``deadline_exceeded`` raised — so an
+        idempotent retry of the whole batch stays exactly-once.  (The
+        fleet-wide exploit/explore tallies in ``backend.stats`` count
+        work done, like a crash replay's, and are not unwound.)
         """
         rows = list(transitions)
         with self._lock, self._span("session.learn_batch", size=len(rows)):
             rec = self._get(sid)
+            if not rows:
+                return 0
+            columns = self._batch_columns(rec.lane, rows)
             undo = None
             if deadline is not None:
                 # O(S·A) insurance: the pre-batch lane state plus the
@@ -536,21 +548,21 @@ class SessionManager:
                 )
             q_new = 0
             applied = 0
+            step = self._BATCH_CHECK
             try:
-                for s, a, r, ns, t in rows:
-                    if (
-                        deadline is not None
-                        and applied % self._BATCH_CHECK == 0
-                        and time.monotonic() >= deadline
-                    ):
+                for lo in range(0, len(rows), step):
+                    if deadline is not None and time.monotonic() >= deadline:
                         raise ProtocolError(
                             E_DEADLINE,
                             f"batch deadline expired after {applied}/"
                             f"{len(rows)} transitions; batch rolled back",
                         )
-                    q_new = self.backend.apply_transition(rec.lane, s, a, r, ns, t)
-                    rec.journal.append(("learn", s, a, r, ns, t))
-                    applied += 1
+                    chunk = slice(lo, lo + step)
+                    q_new = self.backend.apply_transitions(
+                        *(col[chunk] for col in columns)
+                    )
+                    rec.journal.extend(("learn", *row) for row in rows[chunk])
+                    applied = min(lo + step, len(rows))
             except ProtocolError:
                 if undo is not None:
                     lane_snap, base, journal = undo
@@ -571,9 +583,47 @@ class SessionManager:
             rec.samples += applied
             self.transitions_total += applied
             self._maybe_rebase(rec)
-            if self._counters is not None and applied:
+            if self._counters is not None:
                 self._counters.inc("transitions", applied)
             return q_new
+
+    def _batch_columns(self, lane: int, rows: list) -> tuple:
+        """``apply_transitions`` columns of ``rows`` on ``lane``: int64
+        ``(lanes, s, a, r, ns, t)`` with every reward quantised into the
+        Q format.  Raises ``bad_request`` on any malformed row, before
+        anything is applied."""
+        backend = self.backend
+        if set(map(len, rows)) != {5}:
+            raise ProtocolError(E_BAD_REQUEST, "batch rows must be (s, a, r, ns, t)")
+        s, a, r, ns, t = zip(*rows)
+        try:
+            ints = [np.asarray(col) for col in (s, a, ns)]
+            rewards = np.asarray(r, dtype=np.float64)
+            terminal = np.asarray(t, dtype=bool).astype(np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(E_BAD_REQUEST, f"malformed batch: {exc}") from None
+        if any(col.dtype.kind not in "iu" for col in ints):
+            raise ProtocolError(E_BAD_REQUEST, "batch s, a and ns must be integers")
+        finite = np.isfinite(rewards)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise ProtocolError(
+                E_BAD_REQUEST, f"batch[{row}]: reward {r[row]!r} is not finite"
+            )
+        s, a, ns = (col.astype(np.int64, copy=False) for col in ints)
+        columns = (
+            np.full(len(rows), lane, dtype=np.int64),
+            s,
+            a,
+            ops.quantize_array(rewards, backend.config.q_format),
+            ns,
+            terminal,
+        )
+        try:
+            check_transition_batch(backend, *columns)
+        except LaneOpError as exc:
+            raise ProtocolError(E_BAD_REQUEST, str(exc)) from None
+        return columns
 
     def act(self, sid: str, state: int, explore: bool = True) -> int:
         """Recommend an action from the session's committed tables."""
@@ -687,15 +737,18 @@ class SessionManager:
         Replay re-consumes the identical LFSR draws in the identical
         order, so the lane lands bit-exactly where committed traffic
         left it — the one primitive behind crash recovery, the audit
-        scrub and backend failover.
+        scrub and backend failover.  Each run of consecutive ``learn``
+        entries retires as one ``apply_transitions`` call.
         """
-        self.backend.load_lane_state(rec.lane, rec.base)
-        for entry in rec.journal:
-            if entry[0] == "learn":
-                _, s, a, r, ns, t = entry
-                self.backend.apply_transition(rec.lane, s, a, r, ns, t)
+        backend = self.backend
+        backend.load_lane_state(rec.lane, rec.base)
+        for op, run in itertools.groupby(rec.journal, key=itemgetter(0)):
+            if op == "learn":
+                rows = [entry[1:] for entry in run]
+                backend.apply_transitions(*self._batch_columns(rec.lane, rows))
             else:
-                self.backend.query_action(rec.lane, entry[1], True)
+                for entry in run:
+                    backend.query_action(rec.lane, entry[1], True)
 
     def audit_sessions(self, limit: Optional[int] = None) -> list[str]:
         """Journal-replay scrub: detect + repair silent lane corruption.

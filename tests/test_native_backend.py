@@ -291,6 +291,30 @@ def test_compiled_tier_agrees_with_python_oracle(tier):
     _assert_same_state(fast, oracle)
 
 
+@pytest.mark.parametrize("tier", AVAILABLE_TIERS)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fleet_keeps_int64_accumulator_on_saturated_wide_words(tier):
+    """With (48, 24) words saturated by huge rewards the stage-3 sum
+    leaves int64; the fused fleet loop wraps it exactly as the numpy
+    array program does (the batched lane op instead matches the exact
+    scalar datapath, see tests/test_lane_ops.py)."""
+    from repro.envs.base import DenseMdp
+
+    huge = DenseMdp(
+        next_state=LOOPY.next_state,
+        rewards=np.full(LOOPY.rewards.shape, 1e300),
+        terminal=np.zeros_like(LOOPY.terminal),
+        start_states=LOOPY.start_states,
+        name="saturating",
+    )
+    cfg = QTAccelConfig.qlearning(seed=3, q_format=FxpFormat(48, 24))
+    nat = NativeFleetBackend(huge, cfg, num_agents=2, kernel=tier)
+    vec = VectorizedFleetBackend(huge, cfg, num_agents=2)
+    nat.run(300)
+    vec.run(300)
+    _assert_same_state(nat, vec)
+
+
 # ---------------------------------------------------------------------- #
 # Checkpoint / rollback
 # ---------------------------------------------------------------------- #

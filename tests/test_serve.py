@@ -40,6 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import native_available
 from repro.core.config import QTAccelConfig
 from repro.serve import (
     Gateway,
@@ -63,9 +64,14 @@ from repro.serve.protocol import (
     parse_transition,
     require_int,
 )
+from repro.serve.session import _lane_states_equal
 from repro.serve.smoke import replay_reference
 
 S, A = 16, 4
+
+#: Engines whose learn_batch runs through apply_transitions: the
+#: reference loop, and the compiled lane op when this host has a tier.
+BATCH_ENGINES = ["vectorized"] + (["native"] if native_available()[0] else [])
 
 
 def _config(**kw):
@@ -162,6 +168,80 @@ class TestProtocol:
             parse_transition(
                 {"s": 1, "a": 9, "r": 0, "ns": 0}, num_states=S, num_actions=A
             )
+
+    @pytest.mark.parametrize(
+        "r",
+        [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "huge_int"],
+    )
+    def test_parse_transition_rejects_unrepresentable_reward(self, r):
+        """json accepts NaN/Infinity and huge ints; no reward word does."""
+        with pytest.raises(ProtocolError) as exc:
+            parse_transition(
+                {"s": 1, "a": 1, "r": r, "ns": 2}, num_states=S, num_actions=A
+            )
+        assert exc.value.code == E_BAD_REQUEST
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-2, S + 1),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.booleans(),
+                    st.just(10**400),
+                    st.just("1"),
+                ),
+                min_size=3,
+                max_size=6,
+            ).map(lambda row: [row[0] if isinstance(row[0], int) else 1] + row[1:]),
+            max_size=8,
+        ),
+        valid=st.lists(
+            st.tuples(
+                st.integers(0, S - 1), st.integers(0, A - 1),
+                st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3)),
+                st.integers(0, S - 1), st.booleans(),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_columnar_parse_batch_matches_per_row(self, rows, valid):
+        """The columnar fast path accepts, rejects and reports exactly
+        like the per-row parser."""
+        batch = [list(v) for v in valid] + rows
+        try:
+            want = [
+                parse_transition(
+                    dict(zip(("s", "a", "r", "ns", "t"), row)),
+                    num_states=S,
+                    num_actions=A,
+                )
+                if isinstance(row, list) and 4 <= len(row) <= 5
+                else None
+                for row in batch
+            ]
+        except ProtocolError:
+            want = ProtocolError
+        if want is not ProtocolError and None in want:
+            want = ProtocolError
+        if want is ProtocolError:
+            with pytest.raises(ProtocolError) as exc:
+                parse_batch({"batch": batch}, num_states=S, num_actions=A)
+            assert exc.value.code == E_BAD_REQUEST
+        else:
+            got = parse_batch({"batch": batch}, num_states=S, num_actions=A)
+            assert got == want
+            assert [tuple(map(type, row)) for row in got] == [
+                tuple(map(type, row)) for row in want
+            ]
+
+    def test_parse_batch_names_first_bad_row(self):
+        rows = [[0, 1, 0.5, 2]] * 5 + [[0, 1, float("nan"), 2], [99, 0, 0.0, 0]]
+        with pytest.raises(ProtocolError) as exc:
+            parse_batch({"batch": rows}, num_states=S, num_actions=A)
+        assert "finite" in exc.value.detail
 
     def test_parse_batch_shapes_and_cap(self):
         rows = [[0, 1, 0.5, 2], [3, 0, -1.0, 4, True]]
@@ -262,6 +342,101 @@ class TestSessionManager:
         rng = random.Random(5)
         _apply_via_manager(manager, rec.sid, _random_stream(rng, 50))
         assert manager.stats(rec.sid)["journal_depth"] < 8
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_bad_row_applies_nothing_then_retry_applies_once(self, engine):
+        """A batch with one unrepresentable reward is refused whole: lane,
+        journal, counters and session stats stay put, and the corrected
+        retry lands exactly once."""
+        config = _config(seed=31)
+        manager = SessionManager(_backend(engine=engine, lanes=1, config=config))
+        rec = manager.open()
+        rng = random.Random(12)
+        pre = _random_stream(rng, 10, explore_frac=0.0)
+        _apply_via_manager(manager, rec.sid, pre)
+        rows = [op[1:] for op in _random_stream(rng, 256, explore_frac=0.0)]
+        lane_before = manager.backend.lane_state(rec.lane)
+        journal_before = list(rec.journal)
+        stats_before = manager.stats(rec.sid)
+        fleet_before = dict(vars(manager.backend.stats))
+        for bad in (float("nan"), float("inf"), "x"):
+            poisoned = list(rows)
+            poisoned[100] = rows[100][:2] + (bad,) + rows[100][3:]
+            with pytest.raises(ProtocolError) as exc:
+                manager.learn_batch(rec.sid, poisoned)
+            assert exc.value.code == E_BAD_REQUEST
+            assert _lane_states_equal(manager.backend.lane_state(rec.lane), lane_before)
+            assert rec.journal == journal_before
+            assert manager.stats(rec.sid) == stats_before
+            assert manager.transitions_total == len(pre)
+            assert dict(vars(manager.backend.stats)) == fleet_before
+        manager.learn_batch(rec.sid, rows)
+        assert manager.transitions_total == len(pre) + len(rows)
+        ops = pre + [("learn",) + row for row in rows]
+        assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, ops)
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_replay_batches_learn_runs(self, engine):
+        """Journal replay (one apply_transitions per run of learns, acts
+        in between) re-derives the live lane bit-exactly."""
+        config = _config(seed=8)
+        manager = SessionManager(
+            _backend(engine=engine, lanes=2, config=config), checkpoint_every=10**6
+        )
+        rec = manager.open()
+        ops = _random_stream(random.Random(4), 120, explore_frac=0.2)
+        _apply_via_manager(manager, rec.sid, ops)
+        manager.learn_batch(rec.sid, [op[1:] for op in _random_stream(
+            random.Random(5), 70, explore_frac=0.0)])
+        live = manager.backend.lane_state(rec.lane)
+        assert manager.audit_sessions() == []
+        assert _lane_states_equal(manager.backend.lane_state(rec.lane), live)
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    @pytest.mark.parametrize("expire_after", [1, 3])
+    def test_deadline_between_chunks_rolls_back(self, engine, expire_after, monkeypatch):
+        """The deadline expires after ``expire_after`` applied chunks:
+        lane, journal, counters and session stats return to their
+        pre-batch values, and the retry applies exactly once."""
+        from repro.serve import session as session_mod
+
+        config = _config(seed=19)
+        manager = SessionManager(_backend(engine=engine, lanes=1, config=config))
+        rec = manager.open()
+        rng = random.Random(21)
+        pre = _random_stream(rng, 12, explore_frac=0.3)
+        _apply_via_manager(manager, rec.sid, pre)
+        rows = [op[1:] for op in _random_stream(rng, 200, explore_frac=0.0)]
+        lane_before = manager.backend.lane_state(rec.lane)
+        journal_before = list(rec.journal)
+        stats_before = manager.stats(rec.sid)
+        transitions_before = manager.transitions_total
+
+        class ExpiringClock:
+            """monotonic() reads 0 for ``expire_after`` chunk checks, then
+            jumps past the deadline."""
+
+            reads = 0
+
+            @classmethod
+            def monotonic(cls):
+                cls.reads += 1
+                return 0.0 if cls.reads <= expire_after else 10.0
+
+        monkeypatch.setattr(session_mod, "time", ExpiringClock)
+        with pytest.raises(ProtocolError) as exc:
+            manager.learn_batch(rec.sid, rows, deadline=5.0)
+        monkeypatch.undo()
+        assert exc.value.code == "deadline_exceeded"
+        assert f"after {expire_after * SessionManager._BATCH_CHECK}/" in exc.value.detail
+        assert _lane_states_equal(manager.backend.lane_state(rec.lane), lane_before)
+        assert rec.journal == journal_before
+        assert manager.stats(rec.sid) == stats_before
+        assert manager.transitions_total == transitions_before
+        assert manager.deadline_aborts == 1
+        manager.learn_batch(rec.sid, rows, deadline=time.monotonic() + 60)
+        ops = pre + [("learn",) + row for row in rows]
+        assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, ops)
 
     def test_q_row_slices_one_state(self):
         manager = SessionManager(_backend(lanes=1))
@@ -461,6 +636,26 @@ class TestGateway:
             assert sess.table() == at_tag
             ops = [("learn",) + r for r in rows]
             assert sess.table() == _ref_table(config, sess.salt, ops)
+            sess.close()
+
+    def test_nan_batch_refused_whole_over_wire(self, served):
+        """Python's json sends NaN; the gateway refuses the whole batch
+        (nothing applied, nothing journalled) and the retry lands once."""
+        gateway, config = served
+        with ServeClient(port=gateway.port) as client:
+            sess = client.open_session()
+            rows = [(s % S, s % A, 0.5, (s + 1) % S, False) for s in range(8)]
+            bad = list(rows)
+            bad[2] = (2, 2, float("nan"), 3, False)
+            with pytest.raises(ServeError) as exc:
+                sess.learn_batch(bad)
+            assert exc.value.code == E_BAD_REQUEST
+            assert sess.table() == _ref_table(config, sess.salt, [])
+            assert sess.stats()["samples"] == 0
+            sess.learn_batch(rows)
+            ops = [("learn",) + r for r in rows]
+            assert sess.table() == _ref_table(config, sess.salt, ops)
+            assert sess.stats()["samples"] == len(rows)
             sess.close()
 
     def test_admission_rejects_then_queues(self, served):
