@@ -1,6 +1,6 @@
-"""Fleet bench: the vectorised batch engine vs the scalar engine.
+"""Fleet bench: the vectorised fleet engine vs the scalar engine.
 
-Times K-agent fleets on the batch engine against K sequential scalar
+Times K-agent fleets on the vectorized fleet engine against K sequential scalar
 runs (same trajectories, bit for bit), quantifying the vectorisation
 win, and prints the fleet experiment.
 """
@@ -8,8 +8,8 @@ win, and prints the fleet experiment.
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchIndependentSimulator
 from repro.core.config import QTAccelConfig
+from repro.core.engine import make_engine
 from repro.core.functional import FunctionalSimulator
 from repro.core.policies import PolicyDraws
 from repro.envs.gridworld import GridWorld
@@ -26,7 +26,7 @@ def test_batch_engine(benchmark, agents):
     cfg = QTAccelConfig.qlearning(seed=17)
 
     def run():
-        sim = BatchIndependentSimulator(WORLD, cfg, num_agents=agents)
+        sim = make_engine(cfg, engine="vectorized", mdps=WORLD, num_agents=agents)
         sim.run(SAMPLES)
         return sim
 
@@ -54,6 +54,6 @@ def test_scalar_engine_same_work(benchmark):
 
     sims = benchmark(run)
     # spot-check bit parity against one batch lane
-    batch = BatchIndependentSimulator(WORLD, cfg, num_agents=16)
+    batch = make_engine(cfg, engine="vectorized", mdps=WORLD, num_agents=16)
     batch.run(SAMPLES)
     assert np.array_equal(batch.q[3], sims[3].tables.q.data)

@@ -38,9 +38,7 @@ def main() -> None:
     print(f"-- {LANES}-lane fleet, {STEPS} updates/lane per backend --")
     engines = {}
     for backend in ("scalar", "vectorized"):
-        fleet = make_engine(
-            cfg, engine="batch", mdps=mdp, num_agents=LANES, backend=backend
-        )
+        fleet = make_engine(cfg, engine=backend, mdps=mdp, num_agents=LANES)
         t0 = time.perf_counter()
         fleet.run(STEPS)
         dt = time.perf_counter() - t0

@@ -32,13 +32,14 @@ Quickstart::
     print(acc.convergence())
     print(acc.throughput_estimate().msps, "MS/s")
 
-Lower-level engines (functional, cycle-accurate pipeline, lane-stacked
-fleets) are all constructed through one facade — see ``docs/api.md``::
+Lower-level engines (functional, cycle-accurate pipeline and the
+scalar/vectorized/sharded/native fleet backends) are all constructed
+through one factory — see ``docs/api.md``::
 
     from repro import make_engine
 
     sim = make_engine(config, mdp=mdp)                       # functional
-    fleet = make_engine(config, engine="batch", mdps=mdp, num_agents=256)
+    fleet = make_engine(config, engine="vectorized", mdps=mdp, num_agents=256)
 """
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@
 four interchangeable backends (see :mod:`repro.backends.base` for the
 shared :class:`FleetBackend` surface):
 
-* ``"vectorized"`` (default) — :class:`VectorizedFleetBackend`, lanes
+* ``"vectorized"`` — :class:`VectorizedFleetBackend`, lanes
   as numpy array programs (the software analogue of Fig. 9's replicated
   pipelines; 1-2 orders of magnitude faster);
 * ``"scalar"`` — :class:`ScalarFleetBackend`, a pure-Python loop of
@@ -18,13 +18,13 @@ shared :class:`FleetBackend` surface):
   program fused into one compiled pass per chunk of steps (numba JIT
   via the ``repro[native]`` extra, or a runtime-compiled C kernel);
   raises :class:`NativeBackendUnavailableError` when no compiled tier
-  exists (see :func:`fleet_backend_availability`).
+  exists (probe with :func:`native_available` /
+  :func:`native_kernel_tiers`).
 
 All are bit-identical per lane to a scalar
 :class:`~repro.core.functional.FunctionalSimulator` with the same salt.
-Select one via :func:`make_fleet_backend`,
-``BatchIndependentSimulator(..., backend=...)`` or
-``repro.make_engine(..., engine="batch"|"vectorized"|"sharded"|"native")``.
+Construct one with
+``repro.make_engine(..., engine="scalar"|"vectorized"|"sharded"|"native")``.
 """
 
 from .base import (
@@ -33,11 +33,7 @@ from .base import (
     FleetSpec,
     FleetStats,
     LaneOpError,
-    fleet_backend_availability,
-    fleet_backends,
-    make_fleet_backend,
     normalize_fleet,
-    resolve_fleet_backend,
 )
 from .native import (
     NativeBackendUnavailableError,
@@ -60,11 +56,7 @@ __all__ = [
     "ScalarFleetBackend",
     "ShardedFleetBackend",
     "VectorizedFleetBackend",
-    "fleet_backend_availability",
-    "fleet_backends",
-    "make_fleet_backend",
     "native_available",
     "native_kernel_tiers",
     "normalize_fleet",
-    "resolve_fleet_backend",
 ]

@@ -2,7 +2,8 @@
 
 A *fleet backend* runs ``n_lanes`` independent QTAccel learners — one
 Q/Qmax table set, one LFSR triple and one architectural latch set per
-lane — behind one lane-oriented interface.  Three implementations exist:
+lane — behind one lane-oriented interface.  Four implementations exist,
+each constructed through :func:`repro.core.engine.make_engine`:
 
 * :class:`~repro.backends.vectorized.VectorizedFleetBackend` — the
   array program: every per-sample quantity is a length-``n_lanes``
@@ -16,7 +17,9 @@ lane — behind one lane-oriented interface.  Three implementations exist:
 * :class:`~repro.backends.sharded.ShardedFleetBackend` — the
   vectorized array program partitioned into contiguous lane shards,
   one ``multiprocessing`` worker per shard over shared-memory state
-  (the multi-core analogue of replicating whole accelerators).
+  (the multi-core analogue of replicating whole accelerators);
+* :class:`~repro.backends.native.NativeFleetBackend` — the vectorized
+  lock-step program fused into one compiled pass per chunk of steps.
 
 All are **bit-identical per lane** to a scalar functional simulator
 seeded with the same salt — draws, lag semantics, Qmax rules and
@@ -25,9 +28,7 @@ backend choice is purely a throughput decision.
 
 This module owns what the implementations share: the fleet-environment
 normalisation/validation, the :class:`BatchStats` counters, the
-:class:`FleetBackend` protocol, and the name registry behind
-``BatchIndependentSimulator(..., backend=...)`` and
-:func:`repro.core.engine.make_engine`.
+:class:`FleetBackend` protocol and the lane-op boundary checks.
 """
 
 from __future__ import annotations
@@ -279,75 +280,3 @@ def check_transition_batch(backend, *columns: np.ndarray) -> int:
                     f"out of range [0, {hi})"
                 )
     return n
-
-
-def fleet_backends() -> dict[str, type]:
-    """Name -> class registry of the known fleet backends.
-
-    Registration is unconditional — constructing ``"native"`` on a host
-    with no compiled kernel tier raises a typed
-    :class:`~repro.backends.native.NativeBackendUnavailableError`; use
-    :func:`fleet_backend_availability` to probe without constructing.
-    """
-    from .native import NativeFleetBackend
-    from .scalar import ScalarFleetBackend
-    from .sharded import ShardedFleetBackend
-    from .vectorized import VectorizedFleetBackend
-
-    return {
-        "vectorized": VectorizedFleetBackend,
-        "scalar": ScalarFleetBackend,
-        "sharded": ShardedFleetBackend,
-        "native": NativeFleetBackend,
-    }
-
-
-def fleet_backend_availability() -> dict[str, dict]:
-    """Per-backend availability report, ``name -> {available, detail}``.
-
-    The pure-Python/numpy backends are always available; ``"native"``
-    needs a compiled kernel tier (numba via the ``repro[native]`` extra,
-    or a system C compiler).
-    """
-    from .native import native_available
-
-    report = {
-        name: {"available": True, "detail": ""}
-        for name in ("vectorized", "scalar", "sharded")
-    }
-    ok, detail = native_available()
-    report["native"] = {"available": ok, "detail": detail}
-    return report
-
-
-def resolve_fleet_backend(name: str) -> type:
-    """Look one backend class up by name, with a helpful error."""
-    registry = fleet_backends()
-    try:
-        return registry[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fleet backend {name!r}; choose one of {sorted(registry)}"
-        ) from None
-
-
-def make_fleet_backend(
-    mdps: "DenseMdp | Sequence[DenseMdp]",
-    config: "QTAccelConfig",
-    *,
-    backend: str = "vectorized",
-    num_agents: int | None = None,
-    salts: Sequence[int] | None = None,
-    telemetry=None,
-    **kw,
-) -> FleetBackend:
-    """Construct a fleet backend by name (the functional entry point).
-
-    Extra keyword arguments forward to the chosen backend's constructor
-    — e.g. ``num_workers=`` for ``"sharded"``, ``kernel=`` for
-    ``"native"`` — matching the batch facade and ``make_engine``.
-    """
-    cls = resolve_fleet_backend(backend)
-    return cls(
-        mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry, **kw
-    )

@@ -78,7 +78,9 @@ AUTO_TIERS = ("numba", "cc")
 KERNEL_TIERS = ("numba", "cc", "python")
 
 #: Environment override consulted when the constructor gets no explicit
-#: ``kernel=`` (``make_engine``/``make_fleet_backend`` don't forward one).
+#: ``kernel=`` (``make_engine`` forwards one when given).  It pins the
+#: tier of every backend a whole process builds, e.g. a test run that
+#: must exercise the numba tier (CI's ``native-smoke`` job).
 KERNEL_ENV_VAR = "QTACCEL_NATIVE_KERNEL"
 
 #: The datapath constants, in the order of the C ``params`` block
@@ -102,8 +104,7 @@ class NativeBackendUnavailableError(ImportError):
     """No native kernel tier is available on this host.
 
     Raised by :class:`NativeFleetBackend` (and therefore by
-    ``make_engine(engine="native")`` and
-    ``make_fleet_backend(backend="native")``) instead of a bare
+    ``make_engine(engine="native")``) instead of a bare
     :class:`ImportError`, naming the install extra that fixes it.
     """
 

@@ -10,7 +10,6 @@ consume the same object, so an experiment is fully described by
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from ..fixedpoint.format import COEF_FORMAT, Q_FORMAT, FxpFormat
@@ -59,8 +58,8 @@ class QTAccelConfig:
     the engines; for the plain rules they stay authoritative (so
     ``with_(update_policy=...)`` keeps working), while the accelerated
     rules pin ``update_policy="greedy"`` and reject anything else with
-    a typed error.  Constructing with explicit policy strings but no
-    ``update_rule`` is deprecated (one-release shim).
+    a typed error.  Explicit policy strings with no ``update_rule``
+    name the plain rule they imply (``egreedy``/``egreedy`` is SARSA).
     """
 
     behavior_policy: str = "random"
@@ -308,7 +307,7 @@ class QTAccelConfig:
 
 
 # ---------------------------------------------------------------------- #
-# Keyword-only construction (one-release policy-string shim)
+# Keyword-only construction
 # ---------------------------------------------------------------------- #
 
 _dataclass_init = QTAccelConfig.__init__
@@ -318,29 +317,11 @@ def _kwonly_init(self, **kw) -> None:
     """Keyword-only ``QTAccelConfig.__init__``.
 
     Positional arguments were never self-describing for a 14-field
-    config, so passing any is a :class:`TypeError`.
-
-    Constructing the algorithm from bare ``behavior_policy``/
-    ``update_policy`` strings without naming an ``update_rule`` is
-    deprecated for one release: the rule registry is the API now
-    (``QTAccelConfig(update_rule=...)`` or the presets), and the shim
-    warns with a :class:`DeprecationWarning` (allow-listed in the
-    tier-1 ``error::DeprecationWarning`` gate — see pyproject.toml).
-    The shim only fires on *explicit* policy kwargs with no rule —
-    ``with_()`` (``dataclasses.replace``) always passes the current
-    ``update_rule``, so copies never warn.
+    config, so passing any is a :class:`TypeError`.  A named
+    ``update_rule`` fills whichever policies the caller left unset;
+    with none, ``__post_init__`` derives the plain rule from the
+    policies.
     """
-    if ("behavior_policy" in kw or "update_policy" in kw) and not kw.get(
-        "update_rule"
-    ):
-        warnings.warn(
-            "constructing QTAccelConfig from behavior_policy/update_policy "
-            "strings is deprecated; pass update_rule=... (or use a preset "
-            "such as QTAccelConfig.qlearning()/.sarsa()/.momentum()/"
-            ".target_q())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     rule_name = kw.get("update_rule")
     if rule_name:
         # Resolve early so the rule's default policies fill any the

@@ -1,13 +1,11 @@
 """Unified engine construction: :func:`make_engine` and the :class:`Engine` protocol.
 
-The repo grew six ways to run the QTAccel update loop — the
-cycle-accurate pipeline, the bit-identical functional fast path, the
-lane-stacked fleet simulator, the raw vectorized fleet backend, the
-multi-core sharded fleet backend, and the native fused-kernel
-backend.  They share the same execution
-contract but historically each had its own constructor spelling.  :func:`make_engine` is the single documented
-entry point (see ``docs/api.md``); everything it returns satisfies
-:class:`Engine`:
+QTAccel is one generic design instantiated many ways: the cycle-accurate
+pipeline, the bit-identical functional fast path, and a fleet of
+independent learners (the paper's Fig. 9 replicated pipelines) run by
+one of four interchangeable fleet backends.  :func:`make_engine` is the
+one constructor for all of them (see ``docs/api.md``); everything it
+returns satisfies :class:`Engine`:
 
 * ``run(num_samples)`` — advance the engine, returning its stats;
 * ``state_dict()`` / ``load_state_dict(state)`` — full architectural
@@ -26,10 +24,11 @@ Engine kinds
                         (default; sequential semantics, fastest scalar path)
 ``"pipeline"``          :class:`~repro.core.pipeline.QTAccelPipeline`
                         (cycle-accurate 4-stage pipeline)
-``"batch"``             :class:`~repro.core.batch.BatchIndependentSimulator`
-                        (fleet facade; pass ``backend="vectorized"|"scalar"``)
+``"scalar"``            :class:`~repro.backends.scalar.ScalarFleetBackend`
+                        (a pure-Python loop of per-lane functional
+                        simulators; the fleet reference baseline)
 ``"vectorized"``        :class:`~repro.backends.vectorized.VectorizedFleetBackend`
-                        (the numpy array program, addressed directly)
+                        (lanes as one numpy lock-step array program)
 ``"sharded"``           :class:`~repro.backends.sharded.ShardedFleetBackend`
                         (lane shards across ``num_workers`` processes over
                         shared memory; remember to ``close()`` it)
@@ -42,11 +41,12 @@ Engine kinds
 ======================  ====================================================
 
 Scalar engines (``functional``/``pipeline``) take one ``mdp``; fleet
-engines (``batch``/``vectorized``/``sharded``) take ``mdps`` — a single
-shared world plus ``num_agents``, or a sequence of same-shaped worlds.  Either
-keyword is accepted for either kind (a lone world is a fleet of one
-description; a one-element fleet spec is a world), so callers can write
-``make_engine(cfg, mdp=world, engine="batch", num_agents=64)``.
+engines (``scalar``/``vectorized``/``sharded``/``native``) take ``mdps``
+— a single shared world plus ``num_agents``, or a sequence of
+same-shaped worlds.  Either keyword is accepted for either kind (a lone
+world is a fleet of one description; a one-element fleet spec is a
+world), so callers can write
+``make_engine(cfg, mdp=world, engine="vectorized", num_agents=64)``.
 
 Update rules
 ------------
@@ -54,7 +54,7 @@ Update rules
 Every engine kind honours ``config.update_rule`` (see
 :mod:`repro.algorithms`): plain Q-Learning/SARSA plus the accelerated
 ``momentum_qlearning`` and ``target_qlearning`` rules run bit-identically
-across all five kinds.  Rule errors are typed and raised as early as
+across all six kinds.  Rule errors are typed and raised as early as
 possible: an unknown name or an incompatible policy combination fails at
 ``QTAccelConfig`` construction
 (:class:`~repro.algorithms.UnknownUpdateRuleError`,
@@ -69,6 +69,7 @@ default Polyak-only sync, or a fleet/functional engine).
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Optional, Protocol, Sequence, runtime_checkable
 
 from ..envs.base import DenseMdp
@@ -76,8 +77,21 @@ from .config import QTAccelConfig
 
 __all__ = ["Engine", "ENGINE_KINDS", "make_engine"]
 
+#: ``engine=`` kind -> (module, class), imported on first use.
+_ENGINES = {
+    "functional": (".functional", "FunctionalSimulator"),
+    "pipeline": (".pipeline", "QTAccelPipeline"),
+    "scalar": ("..backends.scalar", "ScalarFleetBackend"),
+    "vectorized": ("..backends.vectorized", "VectorizedFleetBackend"),
+    "sharded": ("..backends.sharded", "ShardedFleetBackend"),
+    "native": ("..backends.native", "NativeFleetBackend"),
+}
+
 #: Recognised ``engine=`` spellings, in documentation order.
-ENGINE_KINDS = ("functional", "pipeline", "batch", "vectorized", "sharded", "native")
+ENGINE_KINDS = tuple(_ENGINES)
+
+#: Kinds that run one world; every other kind runs a fleet.
+_SCALAR_KINDS = ("functional", "pipeline")
 
 
 @runtime_checkable
@@ -131,7 +145,7 @@ def _scalar_world(
         if len(seq) != 1:
             raise TypeError(
                 f"make_engine(engine={engine!r}) runs a single world; got "
-                f"{len(seq)} mdps — use engine='batch' or 'vectorized' for fleets"
+                f"{len(seq)} mdps — use a fleet kind such as engine='vectorized'"
             )
         world = seq[0]
     return world
@@ -150,42 +164,25 @@ def make_engine(
     Extra keyword arguments pass through to the chosen constructor —
     e.g. ``behavior_lag=``/``draws=`` for ``"functional"``,
     ``stage2_latency=``/``telemetry=`` for ``"pipeline"``,
-    ``num_agents=``/``salts=``/``backend=``/``telemetry=`` for the fleet
-    kinds, plus ``num_workers=``/``epoch=``/``checkpoint_interval=`` for
-    ``"sharded"``.
+    ``num_agents=``/``salts=``/``telemetry=`` for the fleet kinds, plus
+    ``num_workers=``/``epoch=``/``checkpoint_interval=`` for
+    ``"sharded"`` and ``kernel=`` for ``"native"``.
 
     >>> sim = make_engine(QTAccelConfig.qlearning(), mdp=world)
-    >>> fleet = make_engine(cfg, engine="batch", mdps=world, num_agents=256)
+    >>> fleet = make_engine(cfg, engine="vectorized", mdps=world, num_agents=256)
     """
     if not isinstance(config, QTAccelConfig):
         raise TypeError(
             f"make_engine: config must be a QTAccelConfig, got "
             f"{type(config).__name__} {config!r}"
         )
-    if engine == "functional":
-        from .functional import FunctionalSimulator
-
-        return FunctionalSimulator(_scalar_world(engine, mdp, mdps), config, **kw)
-    if engine == "pipeline":
-        from .pipeline import QTAccelPipeline
-
-        return QTAccelPipeline(_scalar_world(engine, mdp, mdps), config, **kw)
-    if engine == "batch":
-        from .batch import BatchIndependentSimulator
-
-        return BatchIndependentSimulator(_fleet_worlds(engine, mdp, mdps), config, **kw)
-    if engine == "vectorized":
-        from ..backends.vectorized import VectorizedFleetBackend
-
-        return VectorizedFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
-    if engine == "sharded":
-        from ..backends.sharded import ShardedFleetBackend
-
-        return ShardedFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
-    if engine == "native":
-        from ..backends.native import NativeFleetBackend
-
-        return NativeFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
-    raise ValueError(
-        f"engine: unknown value {engine!r}; choose one of {ENGINE_KINDS}"
-    )
+    try:
+        module, name = _ENGINES[engine]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"engine: unknown value {engine!r}; choose one of {ENGINE_KINDS}"
+        ) from None
+    cls = getattr(importlib.import_module(module, __package__), name)
+    if engine in _SCALAR_KINDS:
+        return cls(_scalar_world(engine, mdp, mdps), config, **kw)
+    return cls(_fleet_worlds(engine, mdp, mdps), config, **kw)

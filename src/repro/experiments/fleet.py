@@ -1,14 +1,14 @@
-"""Fleet-scale independent learning with the vectorised batch engine.
+"""Fleet-scale independent learning with the vectorized fleet backend.
 
 Extends Fig. 9 to the fleet sizes the device can actually host: the
-batch simulator advances up to the xcvu13p's BRAM-bound pipeline count
+vectorized fleet advances up to the xcvu13p's BRAM-bound pipeline count
 in numpy lock-step (bit-identical per lane to the scalar engine), so a
 "full device" training run is measurable on a laptop.
 
 Engines come from :func:`repro.core.make_engine` — the fleet rows use
-the default ``backend="vectorized"`` array program, and the closing
-note quotes its measured speedup over ``backend="scalar"`` (the
-pure-Python lane loop) so the table's K-samples/s have a baseline.
+the ``engine="vectorized"`` array program, and the closing note quotes
+its measured speedup over ``engine="scalar"`` (the pure-Python lane
+loop) so the table's K-samples/s have a baseline.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..envs.gridworld import GridWorld
 from .registry import ExperimentResult, register
 
 
-@register("fleet", "Fleet-scale independent learners (batch engine)")
+@register("fleet", "Fleet-scale independent learners (vectorized fleet)")
 def run(*, quick: bool = False) -> ExperimentResult:
     world = GridWorld.empty(16, 4)
     mdp = world.to_mdp()
@@ -36,7 +36,7 @@ def run(*, quick: bool = False) -> ExperimentResult:
     speedup_k = min(256, device_bound)
     vec_rate = None
     for k in (4, 16, 64, speedup_k):
-        sim = make_engine(cfg, engine="batch", mdps=mdp, num_agents=k)
+        sim = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=k)
         t0 = time.perf_counter()
         sim.run(samples)
         dt = time.perf_counter() - t0
@@ -61,9 +61,7 @@ def run(*, quick: bool = False) -> ExperimentResult:
     # Price the array program against the scalar lane loop on a short
     # burst (the full workload would be minutes of pure Python).
     scalar_steps = max(1, (500 if quick else 5_000) // 1)
-    scalar = make_engine(
-        cfg, engine="batch", mdps=mdp, num_agents=speedup_k, backend="scalar"
-    )
+    scalar = make_engine(cfg, engine="scalar", mdps=mdp, num_agents=speedup_k)
     t0 = time.perf_counter()
     scalar.run(max(1, scalar_steps // speedup_k))
     dt = time.perf_counter() - t0
@@ -91,7 +89,7 @@ def run(*, quick: bool = False) -> ExperimentResult:
         notes=[
             f"Device bound for this tile size: {device_bound} pipelines "
             "(BRAM-limited, the Fig. 9 argument).",
-            "Each lane of the batch engine is bit-identical to a scalar "
+            "Each lane of the vectorized fleet is bit-identical to a scalar "
             "functional simulator with the same salt (tested).",
             speedup_note,
         ],

@@ -141,13 +141,13 @@ def _setup_pipeline_ecc(n: int):
 
 
 def _setup_batch(n: int):
-    from ..core.batch import BatchIndependentSimulator
+    from ..core.engine import make_engine
 
     mdp, cfg = _mdp(), _config()
     agents = 32
 
     def make():
-        sim = BatchIndependentSimulator(mdp, cfg, num_agents=agents)
+        sim = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=agents)
         return (lambda: sim.run(n // agents)), sim
 
     return make

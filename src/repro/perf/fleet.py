@@ -162,7 +162,7 @@ def run_paired_sweep(
     if not keys or lanes < 1 or (axis != "rule" and min(map(int, keys)) < 1):
         raise ValueError(f"{axis} points and lanes must be positive, got {keys}, {lanes}")
 
-    from ..backends.base import make_fleet_backend
+    from ..core.engine import make_engine
 
     mdp = _mdp()
     scale = 10 if quick else 1
@@ -173,8 +173,8 @@ def run_paired_sweep(
         if engine == "sharded":
             kw = dict(num_workers=spec.get("workers", 1), epoch=steps,
                       checkpoint_interval=0, mp_context=mp_context)
-        eng = make_fleet_backend(
-            mdp, _config(spec["rule"]), backend=engine,
+        eng = make_engine(
+            _config(spec["rule"]), engine=engine, mdps=mdp,
             num_agents=spec["lanes"], **kw,
         )
         return eng, steps

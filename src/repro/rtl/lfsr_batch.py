@@ -1,6 +1,6 @@
 """Vectorised banks of Galois LFSRs.
 
-The batch independent-learner simulator (:mod:`repro.core.batch`) steps
+The vectorized fleet backend (:mod:`repro.backends.vectorized`) steps
 one LFSR *per agent* per draw.  Doing that through K Python objects
 would dominate the runtime, so this module keeps K registers of the same
 polynomial in one int64 numpy array and steps them with three vector

@@ -109,11 +109,6 @@ def build_serve_backend(
         kw["num_workers"] = num_workers
         if mp_context is not None:
             kw["mp_context"] = mp_context
-        return make_engine(config, engine="sharded", mdps=world, **kw)
-    if engine == "scalar":
-        from ..backends.base import make_fleet_backend
-
-        return make_fleet_backend(world, config, backend="scalar", **kw)
     return make_engine(config, engine=engine, mdps=world, **kw)
 
 
@@ -829,16 +824,16 @@ class SessionManager:
         """
         with self._lock, self._span("session.failover"):
             old = self.backend
-            from ..backends.base import make_fleet_backend
+            from ..core.engine import make_engine
 
             if getattr(old, "_homogeneous", True):
                 worlds, num_agents = old.mdps[0], old.K
             else:  # pragma: no cover - serve fleets are homogeneous
                 worlds, num_agents = list(old.mdps), None
-            new = make_fleet_backend(
-                worlds,
+            new = make_engine(
                 old.config,
-                backend=self.failover_to or "vectorized",
+                engine=self.failover_to or "vectorized",
+                mdps=worlds,
                 num_agents=num_agents,
                 salts=getattr(old, "_salts", None),
                 telemetry=self._telemetry,

@@ -17,12 +17,9 @@ from repro.backends import (
     ScalarFleetBackend,
     ShardedFleetBackend,
     VectorizedFleetBackend,
-    fleet_backends,
-    make_fleet_backend,
-    resolve_fleet_backend,
 )
-from repro.core.batch import BatchIndependentSimulator
 from repro.core.config import QTAccelConfig
+from repro.core.engine import make_engine
 from repro.core.functional import FunctionalSimulator
 from repro.core.policies import PolicyDraws
 from repro.envs.gridworld import GridWorld
@@ -160,33 +157,17 @@ class TestCheckpointRoundTrip:
 
 
 class TestRegistryAndDispatch:
-    def test_registry_names(self):
-        assert set(fleet_backends()) == {"native", "scalar", "sharded", "vectorized"}
-
-    def test_resolve_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown fleet backend 'nope'"):
-            resolve_fleet_backend("nope")
-
-    def test_make_fleet_backend(self):
+    def test_make_engine_fleet_kinds(self):
         cfg = QTAccelConfig.qlearning(seed=1)
-        vec = make_fleet_backend(GRID, cfg, num_agents=2)
-        sc = make_fleet_backend(GRID, cfg, backend="scalar", num_agents=2)
+        vec = make_engine(cfg, engine="vectorized", mdps=GRID, num_agents=2)
+        sc = make_engine(cfg, engine="scalar", mdps=GRID, num_agents=2)
         assert isinstance(vec, VectorizedFleetBackend)
         assert isinstance(sc, ScalarFleetBackend)
         assert isinstance(vec, FleetBackend) and isinstance(sc, FleetBackend)
 
-    def test_batch_facade_dispatches(self):
-        cfg = QTAccelConfig.qlearning(seed=1)
-        default = BatchIndependentSimulator(GRID, cfg, num_agents=2)
-        scalar = BatchIndependentSimulator(GRID, cfg, num_agents=2, backend="scalar")
-        assert isinstance(default, VectorizedFleetBackend)
-        assert isinstance(scalar, ScalarFleetBackend)
-        with pytest.raises(ValueError, match="unknown fleet backend"):
-            BatchIndependentSimulator(GRID, cfg, num_agents=2, backend="gpu")
-
     def test_stats_contract(self):
         cfg = QTAccelConfig.qlearning(seed=1)
-        fleet = make_fleet_backend(GRID, cfg, num_agents=2)
+        fleet = make_engine(cfg, engine="vectorized", mdps=GRID, num_agents=2)
         fleet.run(10)
         d = fleet.stats.as_dict()
         assert d["samples"] == 20
@@ -373,22 +354,15 @@ class TestShardedCheckpointAndRecovery:
 
 class TestShardedDispatchAndLifecycle:
     def test_facade_and_engine_dispatch(self):
-        from repro.core.engine import make_engine
-
         cfg = QTAccelConfig.qlearning(seed=2)
-        via_batch = BatchIndependentSimulator(
-            GRID, cfg, num_agents=2, backend="sharded", num_workers=2, mp_context="fork"
-        )
         via_engine = make_engine(
             cfg, engine="sharded", mdp=GRID, num_agents=2, num_workers=2,
             mp_context="fork",
         )
         try:
-            assert isinstance(via_batch, ShardedFleetBackend)
             assert isinstance(via_engine, ShardedFleetBackend)
-            assert isinstance(via_batch, FleetBackend)
+            assert isinstance(via_engine, FleetBackend)
         finally:
-            via_batch.close()
             via_engine.close()
 
     def test_close_is_idempotent_and_context_manager(self):

@@ -1,4 +1,4 @@
-"""Tests for the vectorised batch independent-agent simulator.
+"""Tests for the vectorised fleet of independent agents.
 
 The headline contract: lane ``k`` is bit-identical to a scalar
 FunctionalSimulator seeded with the same salt.
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import BatchIndependentSimulator
 from repro.core.config import QTAccelConfig
+from repro.core.engine import make_engine
 from repro.core.functional import FunctionalSimulator
 from repro.core.metrics import convergence_report
 from repro.core.policies import PolicyDraws
@@ -19,7 +19,9 @@ from repro.envs.random_mdp import random_dense_mdp
 
 
 def assert_lane_parity(mdp_or_mdps, cfg, *, num_agents=None, n=800):
-    batch = BatchIndependentSimulator(mdp_or_mdps, cfg, num_agents=num_agents)
+    batch = make_engine(
+        cfg, engine="vectorized", mdps=mdp_or_mdps, num_agents=num_agents
+    )
     batch.run(n)
     mdps = batch.mdps
     total_exploits = 0
@@ -70,48 +72,58 @@ class TestLaneParity:
 class TestValidation:
     def test_shared_world_needs_agent_count(self):
         with pytest.raises(ValueError):
-            BatchIndependentSimulator(GRID, QTAccelConfig.qlearning())
+            make_engine(QTAccelConfig.qlearning(), engine="vectorized", mdps=GRID)
 
     def test_contradictory_agent_count(self):
         tiles = partition_grid(16, 4)
         with pytest.raises(ValueError):
-            BatchIndependentSimulator(tiles, QTAccelConfig.qlearning(), num_agents=3)
+            make_engine(
+                QTAccelConfig.qlearning(), engine="vectorized", mdps=tiles, num_agents=3
+            )
 
     def test_shape_mismatch_rejected(self):
         a = GridWorld.empty(8, 4).to_mdp()
         b = GridWorld.empty(16, 4).to_mdp()
         with pytest.raises(ValueError):
-            BatchIndependentSimulator([a, b], QTAccelConfig.qlearning())
+            make_engine(QTAccelConfig.qlearning(), engine="vectorized", mdps=[a, b])
 
     def test_salt_count_mismatch(self):
         with pytest.raises(ValueError):
-            BatchIndependentSimulator(
-                GRID, QTAccelConfig.qlearning(), num_agents=2, salts=[1, 2, 3]
+            make_engine(
+                QTAccelConfig.qlearning(), engine="vectorized", mdps=GRID,
+                num_agents=2, salts=[1, 2, 3],
             )
 
     def test_negative_samples(self):
-        sim = BatchIndependentSimulator(GRID, QTAccelConfig.qlearning(), num_agents=2)
+        sim = make_engine(
+            QTAccelConfig.qlearning(), engine="vectorized", mdps=GRID, num_agents=2
+        )
         with pytest.raises(ValueError):
             sim.run(-1)
 
 
 class TestBehaviour:
     def test_agents_decorrelated(self):
-        sim = BatchIndependentSimulator(GRID, QTAccelConfig.qlearning(seed=3), num_agents=4)
+        sim = make_engine(
+            QTAccelConfig.qlearning(seed=3), engine="vectorized", mdps=GRID, num_agents=4
+        )
         sim.run(2000)
         assert not np.array_equal(sim.q[0], sim.q[1])
 
     def test_fleet_learns(self):
         mdp = GridWorld.empty(8, 4).to_mdp()
-        sim = BatchIndependentSimulator(mdp, QTAccelConfig.qlearning(seed=3), num_agents=8)
+        sim = make_engine(
+            QTAccelConfig.qlearning(seed=3), engine="vectorized", mdps=mdp, num_agents=8
+        )
         sim.run(40_000)
         for k in range(8):
             rep = convergence_report(mdp, sim.q_float(k), gamma=0.9, samples=40_000)
             assert rep.success > 0.9
 
     def test_custom_salts(self):
-        a = BatchIndependentSimulator(
-            GRID, QTAccelConfig.qlearning(seed=3), num_agents=2, salts=[10, 11]
+        a = make_engine(
+            QTAccelConfig.qlearning(seed=3), engine="vectorized", mdps=GRID,
+            num_agents=2, salts=[10, 11],
         )
         a.run(500)
         f = FunctionalSimulator(
@@ -123,16 +135,18 @@ class TestBehaviour:
         assert np.array_equal(a.q[0], f.tables.q.data)
 
     def test_q_float_all_shape(self):
-        sim = BatchIndependentSimulator(GRID, QTAccelConfig.qlearning(), num_agents=3)
+        sim = make_engine(
+            QTAccelConfig.qlearning(), engine="vectorized", mdps=GRID, num_agents=3
+        )
         sim.run(10)
         assert sim.q_float_all().shape == (3, GRID.num_states, GRID.num_actions)
 
     def test_resumable(self):
         cfg = QTAccelConfig.qlearning(seed=4)
-        split = BatchIndependentSimulator(GRID, cfg, num_agents=2)
+        split = make_engine(cfg, engine="vectorized", mdps=GRID, num_agents=2)
         split.run(300)
         split.run(300)
-        whole = BatchIndependentSimulator(GRID, cfg, num_agents=2)
+        whole = make_engine(cfg, engine="vectorized", mdps=GRID, num_agents=2)
         whole.run(600)
         assert np.array_equal(split.q, whole.q)
 

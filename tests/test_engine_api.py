@@ -1,5 +1,6 @@
 """Tests for the unified engine API: ``make_engine``, the ``Engine``
-protocol, the shared run-stats contract, and the deprecation shims."""
+protocol, the shared run-stats contract, and the config construction
+rules."""
 
 import warnings
 
@@ -8,11 +9,13 @@ import pytest
 
 from repro import ENGINE_KINDS, Engine, make_engine
 from repro.backends import (
+    BatchStats,
+    NativeFleetBackend,
     ScalarFleetBackend,
     ShardedFleetBackend,
     VectorizedFleetBackend,
+    native_kernel_tiers,
 )
-from repro.core.batch import BatchIndependentSimulator, BatchStats
 from repro.core.config import QTAccelConfig
 from repro.core.functional import FunctionalSimulator
 from repro.core.multi_pipeline import IndependentPipelinesCycle, IndependentRunStats
@@ -26,7 +29,7 @@ CFG = QTAccelConfig.qlearning(seed=6, qmax_mode="follow")
 class TestMakeEngine:
     def test_kinds_registry(self):
         assert ENGINE_KINDS == (
-            "functional", "pipeline", "batch", "vectorized", "sharded", "native"
+            "functional", "pipeline", "scalar", "vectorized", "sharded", "native"
         )
 
     @pytest.mark.parametrize(
@@ -34,12 +37,20 @@ class TestMakeEngine:
         [
             ("functional", FunctionalSimulator, {}),
             ("pipeline", QTAccelPipeline, {}),
-            ("batch", BatchIndependentSimulator, {"num_agents": 3}),
+            ("scalar", ScalarFleetBackend, {"num_agents": 3}),
             ("vectorized", VectorizedFleetBackend, {"num_agents": 3}),
             (
                 "sharded",
                 ShardedFleetBackend,
                 {"num_agents": 3, "num_workers": 2, "mp_context": "fork"},
+            ),
+            pytest.param(
+                "native",
+                NativeFleetBackend,
+                {"num_agents": 3, "kernel": "cc"},
+                marks=pytest.mark.skipif(
+                    not native_kernel_tiers()["cc"], reason="no C compiler"
+                ),
             ),
         ],
     )
@@ -59,9 +70,7 @@ class TestMakeEngine:
         assert isinstance(make_engine(CFG, mdp=MDP), FunctionalSimulator)
 
     def test_fleet_backend_passthrough(self):
-        scalar = make_engine(
-            CFG, engine="batch", mdps=MDP, num_agents=2, backend="scalar"
-        )
+        scalar = make_engine(CFG, engine="scalar", mdps=MDP, num_agents=2)
         assert isinstance(scalar, ScalarFleetBackend)
 
     def test_matches_direct_construction(self):
@@ -80,6 +89,9 @@ class TestMakeEngine:
     def test_error_paths(self):
         with pytest.raises(ValueError, match="engine: unknown value 'gpu'"):
             make_engine(CFG, engine="gpu", mdp=MDP)
+        retired = "batch"  # the old fleet-facade kind; "scalar" replaced it
+        with pytest.raises(ValueError, match="'batch'.*'scalar'"):
+            make_engine(CFG, engine=retired, mdps=MDP, num_agents=2)
         with pytest.raises(TypeError, match="requires an mdp"):
             make_engine(CFG)
         with pytest.raises(TypeError, match="not both"):
@@ -109,7 +121,7 @@ class TestRunStatsContract:
         assert pipe.stats.samples == 30
 
     def test_batch_stats(self):
-        fleet = make_engine(CFG, engine="batch", mdps=MDP, num_agents=4)
+        fleet = make_engine(CFG, engine="vectorized", mdps=MDP, num_agents=4)
         fleet.run(25)
         d = fleet.stats.as_dict()
         assert d["samples"] == 100 == fleet.stats.samples
@@ -130,7 +142,13 @@ class TestDeprecationShims:
             QTAccelConfig("egreedy", "egreedy")
 
     def test_stringly_policy_config_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="update_rule"):
+        """Policy strings with no rule name the plain rule they imply.
+
+        The construction used to emit a DeprecationWarning; that warning is
+        retired, so the test now pins that it works and stays silent.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg = QTAccelConfig(behavior_policy="egreedy", update_policy="egreedy")
         assert cfg == QTAccelConfig(update_rule="sarsa")
 
@@ -139,7 +157,7 @@ class TestDeprecationShims:
             warnings.simplefilter("error")
             QTAccelConfig(update_rule="qlearning")
             QTAccelConfig(update_rule="sarsa", epsilon=0.25)
-            QTAccelConfig()  # defaults name no policies: no shim fires
+            QTAccelConfig()
 
     def test_too_many_positionals(self):
         with pytest.raises(TypeError, match="positional"):

@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends.base import LaneOpError, make_fleet_backend
+from repro.backends.base import LaneOpError
 from repro.backends.native import NativeFleetBackend, native_kernel_tiers
 from repro.backends.sharded import ShardedFleetBackend
 from repro.backends.vectorized import VectorizedFleetBackend
 from repro.core.config import QTAccelConfig
+from repro.core.engine import make_engine
 from repro.core.functional import FunctionalSimulator
 from repro.core.policies import PolicyDraws
 from repro.fixedpoint import FxpFormat, ops
@@ -45,7 +46,7 @@ def _build(backend: str, config, k: int):
             WORLD, config, num_agents=k, num_workers=2, mp_context="fork"
         )
     if backend == "scalar":
-        return make_fleet_backend(WORLD, config, backend="scalar", num_agents=k)
+        return make_engine(config, engine="scalar", mdps=WORLD, num_agents=k)
     if backend == "native":
         # Lane ops route through the shared vectorized path; the
         # interpreted tier keeps this test independent of numba/cc.

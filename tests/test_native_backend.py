@@ -30,13 +30,10 @@ from repro.backends import (
     NativeBackendUnavailableError,
     NativeFleetBackend,
     VectorizedFleetBackend,
-    fleet_backend_availability,
-    fleet_backends,
-    make_fleet_backend,
+    native_available,
     native_kernel_tiers,
 )
 from repro.backends import native as native_mod
-from repro.core.batch import BatchIndependentSimulator
 from repro.core.config import QTAccelConfig
 from repro.core.engine import make_engine
 from repro.core.functional import FunctionalSimulator
@@ -93,38 +90,23 @@ def _assert_same_state(native, vec) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Registry, dispatch, availability
+# Dispatch and availability
 # ---------------------------------------------------------------------- #
 
 
 class TestRegistryAndDispatch:
-    def test_registry_has_native(self):
-        assert "native" in fleet_backends()
-        assert fleet_backends()["native"] is NativeFleetBackend
-
-    def test_availability_report(self):
-        rep = fleet_backend_availability()
-        assert set(rep) == {"native", "scalar", "sharded", "vectorized"}
-        for name in ("scalar", "sharded", "vectorized"):
-            assert rep[name]["available"] is True
-        assert isinstance(rep["native"]["available"], bool)
-        assert isinstance(rep["native"]["detail"], str)
-
     def test_kernel_tier_report(self):
         tiers = native_kernel_tiers()
         assert set(tiers) == {"numba", "cc", "python"}
         assert tiers["python"] is True
+        ok, detail = native_available()
+        assert isinstance(ok, bool) and isinstance(detail, str)
 
     def test_make_engine_and_facade_dispatch(self):
         cfg = QTAccelConfig.qlearning(seed=1)
         eng = make_engine(cfg, engine="native", mdp=GRID, num_agents=2, kernel="python")
-        fab = make_fleet_backend(GRID, cfg, backend="native", num_agents=2, kernel="python")
-        bat = BatchIndependentSimulator(
-            GRID, cfg, num_agents=2, backend="native", kernel="python"
-        )
-        for built in (eng, fab, bat):
-            assert isinstance(built, NativeFleetBackend)
-            assert isinstance(built, FleetBackend)
+        assert isinstance(eng, NativeFleetBackend)
+        assert isinstance(eng, FleetBackend)
         eng.run(16)
         assert eng.stats.samples == 32
 

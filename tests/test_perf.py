@@ -437,11 +437,11 @@ class TestOpenMetrics:
 
 class TestEmitters:
     def test_jsonl_emitter_on_batch_fleet(self, mdp, cfg, tmp_path):
-        from repro.core.batch import BatchIndependentSimulator
+        from repro.core.engine import make_engine
 
         path = tmp_path / "fleet.metrics.jsonl"
         with TelemetrySession(trace=False) as session:
-            sim = BatchIndependentSimulator(mdp, cfg, num_agents=4)
+            sim = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=4)
             session.add_emitter(JsonlEmitter(path, interval_s=0.0))
             sim.run(25)
         lines = path.read_text().splitlines()
@@ -487,12 +487,12 @@ class TestEmitters:
         assert validate_openmetrics(path.read_text()) == []
 
     def test_supervisor_pulses(self, mdp, cfg, tmp_path):
-        from repro.core.batch import BatchIndependentSimulator
+        from repro.core.engine import make_engine
         from repro.robustness.checkpoint import BatchLanes, FleetSupervisor
 
         path = tmp_path / "sup.jsonl"
         with TelemetrySession(trace=False) as session:
-            sim = BatchIndependentSimulator(mdp, cfg, num_agents=4)
+            sim = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=4)
             sup = FleetSupervisor(BatchLanes(sim), interval=16)
             session.add_emitter(JsonlEmitter(path, interval_s=0.0))
             sup.run(64)

@@ -534,23 +534,23 @@ class TestRecoveryProperties:
         finally:
             manager.backend.close()
 
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 2**16 - 1), n=st.integers(1, 40))
-    def test_checkpoint_migration_sharded_to_vectorized(self, seed, n):
-        """Failover migrates live sessions sharded→vectorized through
-        the checkpoint surface bit-exactly, and traffic continues on
-        the identical draw stream."""
+    @staticmethod
+    def _migrate_from_sharded(target, seed, n):
+        """Failover migrates live sessions from sharded onto ``target``
+        through the checkpoint surface bit-exactly, and traffic
+        continues on the identical draw stream."""
         config = _config(seed=6)
         backend = _backend(engine="sharded", lanes=2, config=config)
-        manager = SessionManager(backend, checkpoint_every=16, failover="vectorized")
+        manager = SessionManager(backend, checkpoint_every=16, failover=target)
         try:
             rng = random.Random(seed)
             rec = manager.open()
             ops = _random_stream(rng, n)
             _apply_via_manager(manager, rec.sid, ops)
 
-            manager.failover()
-            assert type(manager.backend).__name__ == "VectorizedFleetBackend"
+            name = manager.failover()
+            assert name == type(manager.backend).__name__
+            assert name == f"{target.capitalize()}FleetBackend"
             assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, ops)
 
             more = _random_stream(rng, 10)
@@ -558,9 +558,20 @@ class TestRecoveryProperties:
             ops.extend(more)
             assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, ops)
         finally:
-            # After failover the backend is vectorized (no close()); the
-            # sharded workers were already shut down by failover itself.
+            # After failover the backend is single-process (no close());
+            # the sharded workers were already shut down by failover itself.
             getattr(manager.backend, "close", lambda: None)()
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**16 - 1), n=st.integers(1, 40))
+    def test_checkpoint_migration_sharded_to_vectorized(self, seed, n):
+        self._migrate_from_sharded("vectorized", seed, n)
+
+    @pytest.mark.skipif(not native_available()[0], reason="no native kernel tier")
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**16 - 1), n=st.integers(1, 40))
+    def test_checkpoint_migration_sharded_to_native(self, seed, n):
+        self._migrate_from_sharded("native", seed, n)
 
 
 # ---------------------------------------------------------------------- #

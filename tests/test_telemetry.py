@@ -357,11 +357,11 @@ class TestEngineWiring:
         assert profile["engines"]["clock"]["cycle"] == sys_.sim.cycle
 
     def test_batch_simulator(self, mdp):
-        from repro.core.batch import BatchIndependentSimulator
+        from repro.core.engine import make_engine
 
         with TelemetrySession(trace=False) as s:
-            fleet = BatchIndependentSimulator(mdp, QTAccelConfig.qlearning(seed=3),
-                                              num_agents=4)
+            fleet = make_engine(QTAccelConfig.qlearning(seed=3), engine="vectorized",
+                                mdps=mdp, num_agents=4)
             fleet.run(25)
         snap = s.profile()["engines"]["batch"]
         assert snap["agents"] == 4

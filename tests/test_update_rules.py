@@ -124,10 +124,13 @@ class TestConfigApi:
         cfg = QTAccelConfig(update_rule="momentum")
         assert cfg.update_rule == "momentum_qlearning"
 
-    def test_stringly_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="update_rule"):
-            cfg = QTAccelConfig(behavior_policy="egreedy", update_policy="egreedy")
+    def test_stringly_construction_warns(self, recwarn):
+        """Policy strings still derive the rule; the DeprecationWarning this
+        construction once raised is retired, so none may appear."""
+        cfg = QTAccelConfig(behavior_policy="egreedy", update_policy="egreedy")
         assert cfg.algorithm == "sarsa"
+        assert cfg == QTAccelConfig(update_rule="sarsa")
+        assert not [w for w in recwarn if w.category is DeprecationWarning]
 
     def test_presets_and_with_do_not_warn(self, recwarn):
         cfg = QTAccelConfig.momentum(seed=3)
